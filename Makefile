@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
+.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shard-smoke events-smoke docs-check bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
 
 ## Tier-1 test suite.
 test:
@@ -54,10 +54,6 @@ events-smoke:
 docs-check:
 	$(PYTHON) scripts/check_docs.py
 
-## pytest-benchmark harness.
-bench:
-	$(PYTHON) -m pytest benchmarks -q
-
 ## Simulation-core perf harness; writes BENCH_simcore.json at the root.
 ## PROFILE=tiny for CI-sized runs.
 PROFILE ?= quick
@@ -93,4 +89,4 @@ bench-load-smoke:
 clean-cache:
 	rm -rf .repro-cache .repro-queue smoke-results.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf *.egg-info src/*.egg-info .pytest_cache .benchmarks
+	rm -rf *.egg-info src/*.egg-info .pytest_cache

@@ -138,7 +138,7 @@ def bench_cold_sharded(tmp: Path, workers: int) -> dict:
     """
     with ServerThread(
         tmp / f"shard{workers}-queue", tmp / f"shard{workers}-cache",
-        workers=workers, max_batch=1, warm_pool=True,
+        workers=workers, max_batch=1,
     ) as service:
         _wait_pool_live(service)
         started = time.perf_counter()
@@ -210,7 +210,6 @@ def bench_fault_overhead(tmp: Path, requests: int) -> dict:
     """
     with ServerThread(
         tmp / "fault-queue", tmp / "fault-cache", job_timeout=120.0,
-        warm_pool=True,
     ) as service:
         _wait_pool_live(service)
         started = time.perf_counter()

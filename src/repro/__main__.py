@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -349,22 +350,17 @@ def _serve_main(argv) -> int:
     )
     parser.add_argument(
         "--job-timeout", type=float, default=0, metavar="SECONDS",
-        help="per-cell wall-clock deadline: enables the contained "
-             "executor (killable workers, hang detection, poison-job "
-             "bisection on pool crashes); 0 disables deadline "
-             "enforcement entirely (default: 0)",
+        help="per-cell wall-clock deadline; a hung cell's workers are "
+             "killed and the cell fails. Any deadline, or jobs x "
+             "workers > 1, runs cells on a persistent worker pool with "
+             "poison-job bisection on pool crashes; 0 disables "
+             "deadline enforcement (default: 0)",
     )
     parser.add_argument(
         "--drain-grace", type=float, default=30.0, metavar="SECONDS",
         help="on SIGTERM/SIGINT, how long in-flight batches get to "
              "finish before stragglers are demoted back to queued "
              "(default: 30)",
-    )
-    parser.add_argument(
-        "--warm-pool", action="store_true",
-        help="keep a persistent pre-warmed worker pool across batches "
-             "instead of spawning a fresh pool per batch; the pool is "
-             "torn down and rebuilt only after a crash or hang",
     )
     parser.add_argument(
         "--no-superblocks", action="store_true",
@@ -450,7 +446,7 @@ def _serve_main(argv) -> int:
     if port is None:
         port = 8742
     if args.no_superblocks:
-        # Inherited by spawned workers (cold and warm pools alike), so
+        # Inherited by spawned pool workers, so
         # one flag disables fused-block execution service-wide.  Set
         # before any simulation import can snapshot the gate.
         os.environ["REPRO_SUPERBLOCKS"] = "0"
@@ -463,6 +459,7 @@ def _serve_main(argv) -> int:
         # the human-readable line moves to stderr.
         stream = sys.stderr if args.log_json else sys.stdout
         print(f"serving on {server.url}", file=stream, flush=True)
+        pool = server.dispatcher.pool
         shard_note = (
             f"shard: {args.shard} "
             f"(shared tier: {args.shared_cache_dir or 'none'}); "
@@ -473,7 +470,7 @@ def _serve_main(argv) -> int:
             f"{shard_note}"
             f"workers: {args.workers}; jobs/batch: {args.jobs}; "
             f"max batch: {args.max_batch}; "
-            f"warm pool: {'on' if args.warm_pool else 'off'}; "
+            f"worker pool: {pool.max_workers if pool else 'none'}; "
             f"superblocks: {'off' if args.no_superblocks else 'on'}",
             file=sys.stderr, flush=True,
         )
@@ -490,7 +487,6 @@ def _serve_main(argv) -> int:
         max_attempts=args.max_attempts,
         job_timeout=args.job_timeout or None,
         drain_grace=args.drain_grace,
-        warm_pool=args.warm_pool,
         log_json=args.log_json,
         shard=args.shard, peers=peer_urls,
         shared_cache_dir=args.shared_cache_dir,
@@ -507,6 +503,9 @@ def _serve_main(argv) -> int:
         print("drain grace expired with a batch still executing; "
               "exiting hard (jobs demoted for replay)",
               file=sys.stderr, flush=True)
+        # Pool workers still running the wedged cell would outlive us.
+        for child in multiprocessing.active_children():
+            child.kill()
         os._exit(0)
     return 0
 

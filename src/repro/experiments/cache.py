@@ -212,6 +212,13 @@ class CacheCounters:
     stores: int = 0
     corrupt: int = 0
 
+    def add(self, other: "CacheCounters") -> None:
+        """Fold another tally (a pool worker's, a flushed one) into this."""
+        self.hits += other.hits
+        self.misses += other.misses
+        self.stores += other.stores
+        self.corrupt += other.corrupt
+
 
 @dataclass(frozen=True)
 class CacheEntry:
@@ -252,6 +259,14 @@ class ArtifactCache:
         self.root = Path(root)
         self.version = version if version is not None else code_version()
         self.counters: Dict[str, CacheCounters] = {}
+
+    def worker_copy(self) -> "ArtifactCache":
+        """A fresh cache over the same directories, for a pool worker.
+
+        The copy shares the code version and starts with zero counters;
+        workers hand their tallies back per cell.
+        """
+        return ArtifactCache(self.root, version=self.version)
 
     # -- key handling ---------------------------------------------------
 

@@ -8,12 +8,12 @@ or series the paper's figure/table reports.
 
 Profiles size the experiments: ``full()`` approximates the paper's sweep
 densities (scaled-down instruction counts — the substitution DESIGN.md
-documents), ``quick()`` is a fast configuration used by the pytest-benchmark
-harness and CI, and ``tiny()`` is the smallest sweep that still exhibits
+documents), ``quick()`` is a fast configuration used by the benchmark and
+CI, and ``tiny()`` is the smallest sweep that still exhibits
 every qualitative effect (used by the test suite and smoke runs).
 
 :class:`ExperimentContext` layers two caches under every experiment:
-an in-process memo (dictionaries keyed by value, not identity) and an
+an in-process memo keyed by the cell (by value, not identity) and an
 optional :class:`~repro.experiments.cache.ArtifactCache` that persists
 binaries, traces, functional results, and timing stats across processes
 and across invocations.
@@ -95,13 +95,89 @@ class ExperimentProfile:
         return getattr(cls, name)()
 
 
+#: Cell kinds, in the order a cell's dependency chain runs them.
+KINDS = ("binary", "functional", "trace", "timed")
+
+
+@dataclass(frozen=True)
+class Job:
+    """One independent simulation cell of an experiment sweep.
+
+    ``kind`` selects the artifact the cell produces:
+
+    * ``"binary"`` — build the workload (both E-DVI variants),
+    * ``"functional"`` — an architectural run (stats, no trace),
+    * ``"trace"`` — a full dynamic trace,
+    * ``"timed"`` — an out-of-order timing simulation (requires
+      ``machine``; generates the trace as a dependency).
+    """
+
+    kind: str
+    workload: str
+    dvi: Optional[DVIConfig] = None
+    edvi_binary: bool = False
+    machine: Optional[MachineConfig] = None
+    live_hist: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown job kind {self.kind!r}")
+        if self.kind == "timed" and self.machine is None:
+            raise ValueError("timed jobs need a machine config")
+        if self.kind in ("functional", "trace", "timed") and self.dvi is None:
+            raise ValueError(f"{self.kind} jobs need a DVI config")
+
+    def signature(self) -> str:
+        """Value-based identity, for deduplication across figures."""
+        return fingerprint(
+            self.kind, self.workload, self.dvi, self.edvi_binary,
+            self.machine, self.live_hist,
+        )
+
+    def dependencies(self) -> List["Job"]:
+        """The implicit upstream cells running this cell materializes.
+
+        A ``timed`` cell generates its trace (and the trace its binary)
+        on a cache miss without those cells ever being enumerated in a
+        job list.  Cross-batch dedup that only registers enumerated
+        cells therefore lets two concurrent batches race the shared
+        dependency artifacts; claiming the closure returned here closes
+        that gap.  The ``binary`` dependency deliberately uses the
+        default field values so its signature matches an enumerated
+        ``binary`` cell (one build produces both E-DVI variants).
+        """
+        if self.kind == "binary":
+            return []
+        binary = Job("binary", self.workload)
+        if self.kind in ("functional", "trace"):
+            return [binary]
+        return [
+            binary,
+            Job("trace", self.workload, dvi=self.dvi,
+                edvi_binary=self.edvi_binary),
+        ]
+
+
+def _memo_key(kind: str, key: tuple) -> tuple:
+    """The memo's key for one artifact: its key tuple when hashable.
+
+    A :class:`MachineConfig` holds a latency dict, so keys carrying one
+    are memoized under their fingerprint instead.
+    """
+    try:
+        hash(key)
+    except TypeError:
+        return kind, fingerprint(key)
+    return kind, key
+
+
 class ExperimentContext:
     """Caches simulation artifacts across experiments.
 
-    Two layers: per-process dictionaries (always on), and an optional
-    on-disk :class:`~repro.experiments.cache.ArtifactCache` shared by
-    every process and every invocation that points at the same directory.
-    ``jobs`` is the parallelism knob the
+    Two layers: one per-process memo keyed by the cell (always on), and
+    an optional on-disk :class:`~repro.experiments.cache.ArtifactCache`
+    shared by every process and every invocation that points at the
+    same directory.  ``jobs`` is the parallelism knob the
     :func:`repro.experiments.parallel.execute` scheduler honors when an
     experiment hands it a job list.
     """
@@ -116,34 +192,77 @@ class ExperimentContext:
         self.profile = profile
         self.cache = cache
         self.jobs = max(1, jobs)
-        self._binaries: Dict[Tuple[str, bool], Program] = {}
-        self._traces: Dict[Tuple[str, bool, DVIConfig], Trace] = {}
-        self._functional: Dict[tuple, FunctionalResult] = {}
-        self._timed: Dict[str, PipelineStats] = {}
-        self._artifacts: Dict[Tuple[str, str], Any] = {}
+        #: Every cell and artifact this context has produced, keyed by
+        #: kind and key tuple (see :meth:`memo_key`).
+        self.memo: Dict[tuple, Any] = {}
 
-    # ------------------------------------------------------------------
-    # Disk-cache key tuples (value-canonicalized by ArtifactCache).
-    # ------------------------------------------------------------------
+    def cell_key(self, job: Job) -> Tuple[str, tuple]:
+        """The artifact kind and disk-cache key tuple of one cell.
 
-    def _binary_key(self, workload: str) -> tuple:
-        return (workload, self.profile.scale)
+        Key tuples are value-canonicalized by ArtifactCache.  The E-DVI
+        flag of a ``binary`` cell is not in its key: one build produces
+        both variants.
+        """
+        scale = self.profile.scale
+        if job.kind == "binary":
+            return "binary", (job.workload, scale)
+        head = (job.workload, scale, job.edvi_binary, job.dvi)
+        if job.kind == "trace":
+            # TRACE_FORMAT makes artifacts of different trace storage
+            # formats (pre-columnar vs columnar) distinct cache cells
+            # even if the code version were ever held fixed across the
+            # change.
+            return "trace", head + (TRACE_FORMAT,)
+        if job.kind == "functional":
+            return "functional", head + (job.live_hist,)
+        return "timed", head + (job.machine,)
 
-    def _trace_key(self, workload: str, dvi: DVIConfig, edvi_binary: bool) -> tuple:
-        # TRACE_FORMAT makes artifacts of different trace storage formats
-        # (pre-columnar vs columnar) distinct cache cells even if the code
-        # version were ever held fixed across the change.
-        return (workload, self.profile.scale, edvi_binary, dvi, TRACE_FORMAT)
+    def memo_key(self, job: Job) -> tuple:
+        """The key under which :attr:`memo` holds one cell's value."""
+        return _memo_key(*self.cell_key(job))
 
-    def _functional_key(
-        self, workload: str, dvi: DVIConfig, edvi_binary: bool, live_hist: bool
-    ) -> tuple:
-        return (workload, self.profile.scale, edvi_binary, dvi, live_hist)
+    def _read_through(self, kind: str, key: tuple,
+                      compute: Callable[[], Any]) -> Any:
+        memo_key = _memo_key(kind, key)
+        if memo_key in self.memo:
+            return self.memo[memo_key]
+        hit, value = False, None
+        if self.cache is not None:
+            hit, value = self.cache.lookup(kind, key)
+        if not hit:
+            value = compute()
+            if self.cache is not None:
+                self.cache.store(kind, key, value)
+        self.memo[memo_key] = value
+        return value
 
-    def _timed_key(
-        self, workload: str, dvi: DVIConfig, config: MachineConfig, edvi_binary: bool
-    ) -> tuple:
-        return (workload, self.profile.scale, edvi_binary, dvi, config)
+    def cell(self, job: Job) -> Any:
+        """One cell's value: from the memo, else the disk cache, else run.
+
+        A ``binary`` cell's value is the ``(plain, annotated)`` pair.
+        """
+        kind, key = self.cell_key(job)
+        return self._read_through(kind, key, lambda: self._compute(job))
+
+    def _compute(self, job: Job) -> Any:
+        if job.kind == "binary":
+            plain = get_program(job.workload, self.profile.scale)
+            return plain, insert_edvi(plain).program
+        if job.kind == "timed":
+            trace = self.trace(job.workload, job.dvi,
+                               edvi_binary=job.edvi_binary)
+            return simulate(job.machine, trace)
+        program = self.binary(job.workload, edvi=job.edvi_binary)
+        if job.kind == "functional":
+            return run_program(
+                program, job.dvi, collect_trace=False,
+                collect_live_hist=job.live_hist,
+            )
+        result = run_program(program, job.dvi, collect_trace=True)
+        if not result.stats.completed:
+            raise RuntimeError(f"workload {job.workload} did not complete")
+        assert result.trace is not None
+        return result.trace
 
     # ------------------------------------------------------------------
 
@@ -156,46 +275,11 @@ class ExperimentContext:
         binary anyway, so the pair is one unit of work and is stored as a
         single ``(plain, annotated)`` artifact on disk.
         """
-        key = (workload, edvi)
-        if key not in self._binaries:
-            pair = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup("binary", self._binary_key(workload))
-                if hit:
-                    pair = value
-            if pair is None:
-                plain = get_program(workload, self.profile.scale)
-                pair = (plain, insert_edvi(plain).program)
-                if self.cache is not None:
-                    self.cache.store("binary", self._binary_key(workload), pair)
-            self._binaries[(workload, False)] = pair[0]
-            self._binaries[(workload, True)] = pair[1]
-        return self._binaries[key]
+        return self.cell(Job("binary", workload))[edvi]
 
     def trace(self, workload: str, dvi: DVIConfig, *, edvi_binary: bool) -> Trace:
         """A dynamic trace of the workload under a DVI configuration."""
-        key = (workload, edvi_binary, dvi)
-        if key not in self._traces:
-            trace = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    "trace", self._trace_key(workload, dvi, edvi_binary)
-                )
-                if hit:
-                    trace = value
-            if trace is None:
-                program = self.binary(workload, edvi=edvi_binary)
-                result = run_program(program, dvi, collect_trace=True)
-                if not result.stats.completed:
-                    raise RuntimeError(f"workload {workload} did not complete")
-                assert result.trace is not None
-                trace = result.trace
-                if self.cache is not None:
-                    self.cache.store(
-                        "trace", self._trace_key(workload, dvi, edvi_binary), trace
-                    )
-            self._traces[key] = trace
-        return self._traces[key]
+        return self.cell(Job("trace", workload, dvi, edvi_binary))
 
     def functional(
         self,
@@ -206,29 +290,9 @@ class ExperimentContext:
         live_hist: bool = False,
     ) -> FunctionalResult:
         """A trace-free functional run (for figures 3, 9, 12)."""
-        key = (workload, edvi_binary, dvi, live_hist)
-        if key not in self._functional:
-            result = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    "functional",
-                    self._functional_key(workload, dvi, edvi_binary, live_hist),
-                )
-                if hit:
-                    result = value
-            if result is None:
-                program = self.binary(workload, edvi=edvi_binary)
-                result = run_program(
-                    program, dvi, collect_trace=False, collect_live_hist=live_hist
-                )
-                if self.cache is not None:
-                    self.cache.store(
-                        "functional",
-                        self._functional_key(workload, dvi, edvi_binary, live_hist),
-                        result,
-                    )
-            self._functional[key] = result
-        return self._functional[key]
+        return self.cell(
+            Job("functional", workload, dvi, edvi_binary, live_hist=live_hist)
+        )
 
     def timed(
         self,
@@ -239,43 +303,7 @@ class ExperimentContext:
         edvi_binary: bool,
     ) -> PipelineStats:
         """One out-of-order timing run (memoized; machine config in the key)."""
-        memo_key = fingerprint(self._timed_key(workload, dvi, config, edvi_binary))
-        if memo_key not in self._timed:
-            stats = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    "timed", self._timed_key(workload, dvi, config, edvi_binary)
-                )
-                if hit:
-                    stats = value
-            if stats is None:
-                trace = self.trace(workload, dvi, edvi_binary=edvi_binary)
-                stats = simulate(config, trace)
-                if self.cache is not None:
-                    self.cache.store(
-                        "timed",
-                        self._timed_key(workload, dvi, config, edvi_binary),
-                        stats,
-                    )
-            self._timed[memo_key] = stats
-        return self._timed[memo_key]
-
-    def with_fresh_timing(self) -> "ExperimentContext":
-        """A view of this context whose timing memo starts empty.
-
-        Binaries, traces, and functional results are shared (by reference)
-        with this context; timing simulations and experiment-specific
-        artifacts are not.  The benchmark harness measures figure runs
-        through such views so that timing work — the quantity being
-        benchmarked — is re-executed rather than replayed from the memo,
-        matching what the harness measured before ``timed()`` was
-        memoized.
-        """
-        view = ExperimentContext(self.profile, cache=self.cache, jobs=self.jobs)
-        view._binaries = self._binaries
-        view._traces = self._traces
-        view._functional = self._functional
-        return view
+        return self.cell(Job("timed", workload, dvi, edvi_binary, config))
 
     def artifact(self, kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
         """Read-through memoization for experiment-specific artifacts.
@@ -285,19 +313,7 @@ class ExperimentContext:
         canonicalizable by :func:`repro.experiments.cache.canonical`; the
         profile scale is appended automatically.
         """
-        full_key = key + (self.profile.scale,)
-        memo_key = (kind, fingerprint(full_key))
-        if memo_key not in self._artifacts:
-            value = None
-            hit = False
-            if self.cache is not None:
-                hit, value = self.cache.lookup(kind, full_key)
-            if not hit:
-                value = compute()
-                if self.cache is not None:
-                    self.cache.store(kind, full_key, value)
-            self._artifacts[memo_key] = value
-        return self._artifacts[memo_key]
+        return self._read_through(kind, key + (self.profile.scale,), compute)
 
 
 # ----------------------------------------------------------------------

@@ -446,7 +446,8 @@ def assemble_sweep(
     The execute/assemble split is what lets the service dispatcher fuse
     several submitted sweeps into one :func:`~repro.experiments.parallel
     .execute` batch and then assemble each request's table individually:
-    assembly only reads the context's memo layer, so it re-runs nothing.
+    assembly only reads the context's memo and the artifact cache, so it
+    re-runs nothing.
     """
     metrics = _TIMED_METRICS if spec.kind == "timed" else _FUNCTIONAL_METRICS
     result = SweepResult(

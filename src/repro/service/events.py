@@ -7,7 +7,7 @@ nothing when nobody is watching:
     A tiny thread-safe publish/subscribe fan-out.  ``queue._apply``
     publishes one structured record per state transition (so live and
     replayed mutations share a single emission path), the dispatcher
-    publishes batch-level records (batches, bisections, warm-pool
+    publishes batch-level records (batches, bisections, worker-pool
     rebuilds), and the HTTP server publishes access/lifecycle records.
     Each subscriber owns a *bounded* FIFO: when a slow consumer falls
     behind, new events for that subscriber are counted and dropped —

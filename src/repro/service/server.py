@@ -149,7 +149,6 @@ class ServiceServer:
         drain_grace: float = 30.0,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
-        warm_pool: bool = False,
         log_json: bool = False,
         shard: Optional[str] = None,
         peers: Optional[Tuple[str, ...]] = None,
@@ -209,7 +208,6 @@ class ServiceServer:
             max_attempts=max_attempts, job_timeout=job_timeout,
             breaker_threshold=breaker_threshold,
             breaker_cooldown=breaker_cooldown,
-            warm_pool=warm_pool,
             cache=cache,
             shard_index=shard_index, shard_count=shard_count,
             shard_urls=shard_urls,
@@ -252,7 +250,7 @@ class ServiceServer:
         self.events.publish({
             "event": "serving", "url": self.url, "workers": self.workers,
         })
-        # Spawn the warm pool off the event loop so the socket answers
+        # Start the worker pool off the event loop so the socket answers
         # immediately; a batch racing the warm-up just blocks on the
         # pool lock and inherits the freshly spawned workers.
         loop = asyncio.get_running_loop()
@@ -813,7 +811,6 @@ def serve_forever(
     max_attempts: int = 3,
     job_timeout: Optional[float] = None,
     drain_grace: float = 30.0,
-    warm_pool: bool = False,
     log_json: bool = False,
     shard: Optional[str] = None,
     peers: Optional[Tuple[str, ...]] = None,
@@ -835,7 +832,7 @@ def serve_forever(
         quota=quota, max_queue_depth=max_queue_depth,
         max_body_bytes=max_body_bytes,
         max_attempts=max_attempts, job_timeout=job_timeout,
-        drain_grace=drain_grace, warm_pool=warm_pool,
+        drain_grace=drain_grace,
         log_json=log_json,
         shard=shard, peers=peers, shared_cache_dir=shared_cache_dir,
         peer_timeout=peer_timeout, peer_fetch=peer_fetch,

@@ -165,6 +165,19 @@ class TieredArtifactCache(ArtifactCache):
         self.peer_kinds = frozenset(peer_kinds)
         self._fetch = fetcher
 
+    def worker_copy(self) -> "TieredArtifactCache":
+        """The local and shared tiers, for a pool worker.
+
+        Peer fetch stays in the parent: workers compute simulation
+        cells, and only rendered ``service`` documents are fetched from
+        peers.
+        """
+        return TieredArtifactCache(
+            self.root,
+            shared_root=self.shared.root if self.shared is not None else None,
+            version=self.version,
+        )
+
     # -- reads ----------------------------------------------------------
 
     def exists_digest(self, kind: str, digest: str) -> bool:

@@ -26,6 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments.cache import ArtifactCache, canonical, fingerprint
 from repro.experiments.export import render_manifest, to_jsonable
+from repro.experiments import parallel
 from repro.experiments.parallel import Job, execute
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.__main__ import main
@@ -242,9 +243,8 @@ class TestParallelEqualsSerial:
             for workload in TINY.workloads
         ]
         execute(plan, context)
-        for workload in TINY.workloads:
-            key = (workload, False, DVIConfig.none(), False)
-            assert key in context._functional
+        for job in plan:
+            assert context.memo_key(job) in context.memo
 
     def test_duplicate_and_satisfied_jobs_are_skipped(self):
         context = ExperimentContext(TINY, jobs=1)
@@ -257,6 +257,46 @@ class TestParallelEqualsSerial:
         assert context.functional(
             "li_like", DVIConfig.none(), edvi_binary=False
         ) is first
+
+
+class TestPooledReplaySkipsDiskCells:
+    """Cells already readable on disk never reach a worker pool."""
+
+    PLAN = [
+        Job(kind="timed", workload=workload, dvi=DVIConfig.none(),
+            machine=MachineConfig.micro97())
+        for workload in TINY.workloads
+    ]
+
+    def _prime(self, root):
+        execute(self.PLAN, ExperimentContext(TINY, cache=ArtifactCache(root)))
+
+    def _forbid_pools(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(parallel, "WorkerPool", no_pool)
+
+    def test_primed_cache_starts_no_pool(self, tmp_path, monkeypatch):
+        self._prime(tmp_path)
+        self._forbid_pools(monkeypatch)
+        context = ExperimentContext(
+            TINY, cache=ArtifactCache(tmp_path), jobs=2
+        )
+        assert execute(self.PLAN, context) == 0
+        assert context.cache.misses() == 0
+
+    def test_corrupt_artifact_is_healed_and_recomputed(self, tmp_path):
+        self._prime(tmp_path)
+        cache = ArtifactCache(tmp_path)
+        kind, key = ExperimentContext(TINY).cell_key(self.PLAN[0])
+        path = cache._path(kind, cache.digest(kind, key))
+        path.write_bytes(path.read_bytes()[:-1])  # torn: no STOP opcode
+        context = ExperimentContext(TINY, cache=cache, jobs=2)
+        assert execute(self.PLAN, context) == 1
+        assert cache.counters["timed"].corrupt == 1
+        assert cache.counters["timed"].stores == 1
+        assert context.memo_key(self.PLAN[0]) in context.memo
 
 
 class TestWarmCacheRunsNothing:

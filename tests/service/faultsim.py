@@ -16,7 +16,7 @@ contract end to end —
   the identical terminal states.
 
 The injection mechanism mirrors crashsim's failpoint pattern at the
-process boundary: :data:`repro.service.execution.FAULTSIM_ENV` names a
+process boundary: :data:`repro.experiments.parallel.FAULTSIM_ENV` names a
 JSON spec file; every *worker* process (spawned by the contained
 executor) loads it once and consults it before running each cell.
 Fires are recorded as one ``O_APPEND`` byte per fire in the spec's
@@ -40,7 +40,7 @@ from typing import Dict, Optional
 
 from repro.experiments.runner import ExperimentProfile
 from repro.service.dispatcher import _spec_for, normalize_request
-from repro.service.execution import FAULTSIM_ENV, fault_fires
+from repro.experiments.parallel import FAULTSIM_ENV, fault_fires
 
 __all__ = ["FaultPlan", "arm_faults", "kill", "hang", "raise_", "timed_signature"]
 

@@ -5,14 +5,22 @@ cell signature, runs a real server end to end over HTTP, and asserts
 the containment contract: healthy batchmates complete exactly once,
 the poison job is quarantined after its bounded attempts with a
 diagnostic, and the queue directory replays to the identical state.
+The last scenario drives ``execute`` directly on a per-call fork pool,
+as the CLI does.
 
 These spawn real worker pools (the whole point is killing them), so the
 suite is seconds, not milliseconds — ``make test-faultsim`` runs it on
 its own, and CI runs it next to ``test-crashsim``.
 """
 
+import time
+
 import pytest
 
+from repro.dvi.config import DVIConfig
+from repro.experiments.cache import ArtifactCache
+from repro.experiments.parallel import CellError, Job, execute
+from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.service.client import get_stats, poll_job, submit_job
 from repro.service.queue import JobQueue, JobState
 from repro.service.server import ServerThread
@@ -217,3 +225,35 @@ class TestNoFaults:
         assert containment["quarantined"] == 0
         assert containment["timeouts"] == 0
         assert containment["pool_crashes"] == 0
+
+
+class TestCliPoolKill:
+    def test_worker_death_names_the_cell_and_keeps_healthy_cells(
+        self, tmp_path
+    ):
+        """The CLI path: ``execute`` at ``jobs=2`` with no deadline on a
+        fork pool.  A worker killed by one cell must not hang the run:
+        the poison is isolated by bisection and raised as an error that
+        names it, and every healthy cell is merged into the context."""
+        profile = ExperimentProfile.tiny()
+        plan_cells = [
+            Job("functional", workload, dvi=dvi)
+            for workload in profile.workloads
+            for dvi in (DVIConfig.none(), DVIConfig.idvi_only())
+        ]
+        poison = plan_cells[1]
+        plan = arm_faults(tmp_path, {poison.signature(): kill()})
+        context = ExperimentContext(
+            profile, cache=ArtifactCache(tmp_path / "cache"), jobs=2
+        )
+        started = time.monotonic()
+        with plan, pytest.raises(CellError) as excinfo:
+            execute(plan_cells, context)
+        assert time.monotonic() - started < 60.0
+        assert poison.signature() in str(excinfo.value)
+        assert [failure.kind for failure in excinfo.value.failures] \
+            == ["crash"]
+        for cell in plan_cells:
+            if cell is not poison:
+                assert context.memo_key(cell) in context.memo
+        assert context.memo_key(poison) not in context.memo

@@ -6,7 +6,7 @@ fallback (a dead peer is a miss, never an error), consistent-hash
 stability (adding a shard remaps ~1/N fingerprints), and shared-tier
 crash injection (a writer killed between tmp-write and rename leaves
 the local tier intact and never publishes a torn artifact peers could
-read).
+read), and pool workers writing through to the shared tier.
 """
 
 import pickle
@@ -14,6 +14,8 @@ import pickle
 import pytest
 
 from repro.experiments.cache import ArtifactCache, set_store_hook
+from repro.service.dispatcher import Dispatcher
+from repro.service.queue import JobQueue, JobState
 from repro.service.routing import (
     VNODES,
     ConsistentHashRing,
@@ -234,6 +236,39 @@ class TestSharedTierCrashInjection:
         # real kills leave droppings for gc — either way no ``.pkl``.
         self._crash_in_shared(tmp_path, "rename")
         assert list((tmp_path / "shared").glob("**/*.pkl")) == []
+
+
+class TestPoolWorkersUseSharedTier:
+    def test_pooled_batch_writes_simulation_artifacts_to_shared(
+        self, tmp_path
+    ):
+        """Pool workers build their cache from the parent's local and
+        shared roots, so the traces and timing stats they compute reach
+        the shared directory, not only the local one."""
+        queue = JobQueue(tmp_path / "queue")
+        dispatcher = Dispatcher(
+            queue, tmp_path / "local", jobs=2,
+            cache=TieredArtifactCache(
+                tmp_path / "local", shared_root=tmp_path / "shared"
+            ),
+        )
+        try:
+            job = dispatcher.submit(
+                {"kind": "sweep", "axis": "regfile", "values": ["34", "42"],
+                 "workloads": ["li_like"], "profile": "tiny"},
+                "alice",
+            )
+            assert dispatcher.drain_once() == 1
+            assert queue.get(job.id).state is JobState.DONE
+        finally:
+            dispatcher.shutdown_pool()
+            queue.close()
+        for kind in ("timed", "trace"):
+            local = {p.name for p in (tmp_path / "local" / kind).glob("*/*.pkl")}
+            shared = {
+                p.name for p in (tmp_path / "shared" / kind).glob("*/*.pkl")
+            }
+            assert local and shared == local
 
 
 class TestConsistentHashRing:

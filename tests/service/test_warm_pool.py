@@ -1,33 +1,33 @@
-"""Warm worker pool lifecycle: reuse across batches, rebuild on faults.
+"""Persistent worker pool lifecycle: reuse across batches, rebuild on faults.
 
-PR 7 proved containment with pool-per-batch executors; the warm pool
-keeps one pre-warmed spawn pool alive across batches and must preserve
-that story exactly.  These scenarios pin the lifecycle counters served
-by ``GET /v1/stats``:
+A server whose batches can run more than one cell at a time, or that
+has a per-cell deadline, keeps one pre-warmed spawn pool alive across
+batches, and containment must hold on it exactly as on throwaway
+pools.  These scenarios pin the lifecycle counters served by
+``GET /v1/stats``:
 
 * a healthy server **reuses** the pool once per batch and never
   rebuilds it;
 * an injected worker kill **invalidates** the pool (counted as a
-  rebuild), quarantines the poison with PR 7 semantics, and leaves a
-  freshly re-warmed pool serving subsequent batches;
-* both execution paths (legacy fast path and the contained executor)
-  ride the same pool.
+  rebuild), quarantines the poison, and leaves a freshly re-warmed
+  pool serving subsequent batches;
+* a pool is kept both for parallelism (``jobs > 1``) and for
+  deadlines, and a default server runs cells in-process with no pool.
 
 The pure-lifecycle unit tests at the top need no HTTP server and pin
-the counter semantics of :class:`repro.service.execution.WarmPool`
+the counter semantics of :class:`repro.experiments.parallel.WorkerPool`
 directly.
 """
 
 import multiprocessing
 import time
-import types
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.experiments.parallel import WorkerPool, _run_group
 from repro.service.client import get_stats, poll_job, submit_job
-from repro.service.execution import WarmPool, _run_group
 from repro.service.server import ServerThread
 
 from faultsim import arm_faults, kill, timed_signature
@@ -56,10 +56,10 @@ def _wait_pool_live(service, timeout: float = 30.0) -> dict:
 
 
 class TestWarmPoolUnit:
-    """Counter semantics of the WarmPool object itself (no server)."""
+    """Counter semantics of the WorkerPool object itself (no server)."""
 
     def test_lifecycle_counters(self):
-        pool = WarmPool(1, mp_context=multiprocessing.get_context("spawn"))
+        pool = WorkerPool(1, mp_context=multiprocessing.get_context("spawn"))
         try:
             assert pool.snapshot() == {
                 "workers": 1, "live": False, "reuses": 0, "rebuilds": 0,
@@ -74,7 +74,7 @@ class TestWarmPoolUnit:
             assert executor is pool.acquire()
             assert pool.snapshot()["reuses"] == 2
 
-            pool.invalidate()             # teardown counts one rebuild
+            pool.invalidate(executor)     # teardown counts one rebuild
             after = pool.snapshot()
             assert not after["live"]
             assert after["rebuilds"] == 1
@@ -84,6 +84,10 @@ class TestWarmPoolUnit:
             assert rebuilt["live"]
             assert rebuilt["reuses"] == 2
             assert rebuilt["warmup_ms"] > first["warmup_ms"]
+
+            pool.invalidate(executor)     # stale executor: not a rebuild
+            assert pool.snapshot()["live"]
+            assert pool.snapshot()["rebuilds"] == 1
         finally:
             pool.shutdown()
         final = pool.snapshot()
@@ -91,8 +95,8 @@ class TestWarmPoolUnit:
         assert final["rebuilds"] == 1     # shutdown is not a rebuild
 
     def test_invalidate_before_spawn_is_noop(self):
-        pool = WarmPool(1)
-        pool.invalidate()
+        pool = WorkerPool(1)
+        pool.invalidate(None)
         assert pool.snapshot() == {
             "workers": 1, "live": False, "reuses": 0, "rebuilds": 0,
             "warmup_ms": 0.0, "last_warmup_ms": 0.0,
@@ -100,15 +104,15 @@ class TestWarmPoolUnit:
 
 
 class TestPoolSurvivesBatches:
-    @pytest.mark.parametrize("job_timeout", [None, 60.0],
-                             ids=["legacy", "contained"])
-    def test_n_batches_n_reuses_zero_rebuilds(self, tmp_path, job_timeout):
+    @pytest.mark.parametrize("config", [
+        {"jobs": 2}, {"jobs": 1, "job_timeout": 60.0},
+    ], ids=["parallel", "deadline"])
+    def test_n_batches_n_reuses_zero_rebuilds(self, tmp_path, config):
         """Three sequential one-cell batches acquire the same pool three
         times: reuses == 3, rebuilds == 0, and the warmup was paid once
         (warmup_ms == last_warmup_ms)."""
         with ServerThread(
-            tmp_path / "queue", tmp_path / "cache",
-            jobs=1, max_batch=8, warm_pool=True, job_timeout=job_timeout,
+            tmp_path / "queue", tmp_path / "cache", max_batch=8, **config,
         ) as service:
             _wait_pool_live(service)
             for value in (34, 42, 50):
@@ -122,7 +126,8 @@ class TestPoolSurvivesBatches:
         assert pool["warmup_ms"] == pool["last_warmup_ms"]
 
     def test_disabled_by_default(self, tmp_path):
-        """Without --warm-pool the stats advertise no pool at all."""
+        """A default server runs one cell at a time with no deadline, so
+        cells run in-process and the stats advertise no pool at all."""
         with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
             assert get_stats(service.url)["workers"]["warm_pool"] is None
 
@@ -149,7 +154,7 @@ class _BrokenAtSecondSubmit:
         pass
 
 
-class _StubWarmPool:
+class _StubPool:
     def __init__(self, pool):
         self._pool = pool
         self.invalidated = 0
@@ -157,7 +162,8 @@ class _StubWarmPool:
     def acquire(self):
         return self._pool
 
-    def invalidate(self):
+    def invalidate(self, executor):
+        assert executor is self._pool
         self.invalidated += 1
 
 
@@ -179,12 +185,10 @@ class TestMidSubmitCrash:
         to assemble — recomputing the poison in-process, outside
         containment.  Every cell must come back as leftover so the
         caller bisects/re-runs it on a throwaway pool."""
-        warm = _StubWarmPool(_BrokenAtSecondSubmit())
+        warm = _StubPool(_BrokenAtSecondSubmit())
         cells = [_StubCell("cell-a"), _StubCell("cell-b"), _StubCell("cell-c")]
-        context = types.SimpleNamespace(cache=None, profile=None)
         results, errors, hung, leftover, crashed = _run_group(
-            cells, context, 5.0, multiprocessing.get_context("spawn"), 1,
-            warm_pool=warm,
+            cells, None, warm, 5.0,
         )
         assert crashed
         assert warm.invalidated == 1
@@ -206,7 +210,7 @@ class TestKillRebuildsPool:
         with plan, ServerThread(
             tmp_path / "queue", tmp_path / "cache",
             jobs=1, max_batch=8, job_timeout=30.0, max_attempts=2,
-            breaker_threshold=100, warm_pool=True,
+            breaker_threshold=100,
         ) as service:
             _wait_pool_live(service)
             ids = [submit_job(service.url, p)["id"] for p in payloads]
@@ -227,8 +231,8 @@ class TestKillRebuildsPool:
         assert states[ids[1]] == "quarantined"
         assert follow["state"] == "done"
 
-        # One rebuild per pool-killing attempt; execute_contained
-        # re-warms afterwards, so the pool ends live and the follow-up
+        # One rebuild per pool-killing attempt; execute re-warms
+        # afterwards, so the pool ends live and the follow-up
         # batch recorded a reuse on top of the rebuilds.
         pool = stats["workers"]["warm_pool"]
         assert mid["rebuilds"] >= 1
