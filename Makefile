@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shard-smoke events-smoke docs-check bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
+.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shared-cache-smoke events-smoke docs-check bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
 
 ## Tier-1 test suite.
 test:
@@ -32,16 +32,16 @@ smoke:
 service-smoke:
 	$(PYTHON) scripts/service_smoke.py
 
-## The same smoke against a 4-worker sharded dispatcher.
+## The same smoke against a dispatcher with 4 concurrent workers.
 service-smoke-workers:
 	$(PYTHON) scripts/service_smoke.py --workers 4
 
-## Multi-process shard smoke: two `repro serve --shard` processes over
-## one --shared-cache-dir, a tiny sweep split across them byte-identical
-## to serial run_sweep, and a cross-shard instant-complete from the
+## Shared-cache smoke: two plain `repro serve` processes over one
+## --shared-cache-dir, a tiny sweep split across them byte-identical
+## to serial run_sweep, and a cross-process instant-complete from the
 ## shared tier.
-shard-smoke:
-	$(PYTHON) scripts/shard_smoke.py
+shared-cache-smoke:
+	$(PYTHON) scripts/shared_cache_smoke.py
 
 ## Observability smoke: tail the SSE event stream while a job runs,
 ## assert the queued->done lifecycle arrives as push events, the

@@ -14,9 +14,9 @@ core's):
   result for a tiny sweep against an empty cache (queue + dispatch +
   simulate + assemble + store), and for a fan-out of distinct sweeps
   submitted together — once fused into one dispatcher batch
-  (``workers=1``) and once sharded across four concurrent dispatch
+  (``workers=1``) and once spread across four concurrent dispatch
   workers (``workers=4``, ``max_batch=1``), so the report tracks the
-  scale-out dimension alongside the serial baseline;
+  concurrent-dispatch dimension alongside the serial baseline;
 * **fault-containment overhead** — the same cold single job and warm
   round trips with ``--job-timeout`` armed (per-cell deadlines, job
   leases, containment bookkeeping), so the report tracks what the
@@ -25,8 +25,8 @@ core's):
   persistent warm pool, so this dimension also records what
   pre-warming buys the contained cold path (pool lifecycle counters
   included);
-* the **sharded** fan-out runs with the warm pool too — scale-out is
-  where pool-per-batch spin-up used to drown the win;
+* the **workers** fan-out runs with the warm pool too — concurrent
+  dispatch is where pool-per-batch spin-up used to drown the win;
 * **observability overhead** — the same warm sequential round trips
   with zero and with one live SSE subscriber on ``/v1/events``
   (span-stamping is always on), pinning the claim that the live
@@ -39,7 +39,9 @@ client the CLI uses.
 
 Each section updates only its own key in the committed report — a
 partial run (``--skip-*``) preserves every other section verbatim,
-including the ``load`` section maintained by bench_load.py.
+including the ``load`` section maintained by bench_load.py and the
+``fleet_vs_workers`` section recording why the multi-process fleet was
+deleted.
 
 Usage::
 
@@ -127,17 +129,17 @@ def bench_cold(tmp: Path) -> dict:
     }
 
 
-def bench_cold_sharded(tmp: Path, workers: int) -> dict:
-    """The same cold fan-out, sharded across concurrent dispatch workers.
+def bench_cold_workers(tmp: Path, workers: int) -> dict:
+    """The same cold fan-out, spread across concurrent dispatch workers.
 
     ``max_batch=1`` pins one job per batch so the fan-out exercises
     ``workers`` truly concurrent batches instead of one fused one.  The
     server runs with the persistent warm pool (pre-warmed before the
     clock starts), so no batch pays executor spin-up — the regime the
-    sharded configuration is meant for.
+    ``--workers`` configuration is meant for.
     """
     with ServerThread(
-        tmp / f"shard{workers}-queue", tmp / f"shard{workers}-cache",
+        tmp / f"workers{workers}-queue", tmp / f"workers{workers}-cache",
         workers=workers, max_batch=1,
     ) as service:
         _wait_pool_live(service)
@@ -372,8 +374,8 @@ def main() -> int:
         help="skip the serial cold section (its report key is preserved)",
     )
     parser.add_argument(
-        "--skip-sharded", action="store_true",
-        help="skip the sharded cold fan-out section",
+        "--skip-workers", action="store_true",
+        help="skip the concurrent-workers cold fan-out section",
     )
     parser.add_argument(
         "--skip-warm", action="store_true",
@@ -400,17 +402,17 @@ def main() -> int:
                   f"{cold['fanout_jobs']} distinct jobs in "
                   f"{cold['fanout_seconds']}s "
                   f"({cold['fanout_batches']} batches)")
-        if not args.skip_sharded:
+        if not args.skip_workers:
             print("cold: same fan-out, 4 dispatch workers + warm pool ...",
                   flush=True)
-            sharded = sections["cold_sharded"] = bench_cold_sharded(
+            fanned = sections["cold_workers"] = bench_cold_workers(
                 tmp_path, workers=4
             )
-            print(f"  {sharded['fanout_jobs']} distinct jobs in "
-                  f"{sharded['fanout_seconds']}s "
-                  f"({sharded['fanout_batches']} batches, "
-                  f"{sharded['overlapped_batches']} overlapped, "
-                  f"{sharded['warm_pool']['reuses']} pool reuses)")
+            print(f"  {fanned['fanout_jobs']} distinct jobs in "
+                  f"{fanned['fanout_seconds']}s "
+                  f"({fanned['fanout_batches']} batches, "
+                  f"{fanned['overlapped_batches']} overlapped, "
+                  f"{fanned['warm_pool']['reuses']} pool reuses)")
         if not args.skip_warm:
             print(f"warm: {args.warm_requests} cache-hit round trips ...",
                   flush=True)
@@ -438,8 +440,8 @@ def main() -> int:
 
     # Merge, never overwrite: only the sections measured above are
     # replaced.  Everything else in the committed report — skipped
-    # sections, and the `load` section bench_load.py maintains — is
-    # preserved verbatim.
+    # sections, the `load` section bench_load.py maintains, and the
+    # `fleet_vs_workers` record — is preserved verbatim.
     try:
         with open(args.output, encoding="utf-8") as handle:
             report = json.load(handle)

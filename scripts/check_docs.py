@@ -32,7 +32,7 @@ DESIGN_REQUIRED = (
     "batching rules",
     "coalesce",
     "/v1/jobs",
-    # The scale-out layer: snapshot compaction + sharded dispatch.
+    # The scale-out layer: snapshot compaction + concurrent dispatch.
     "compaction",
     "snapshot",
     "generation",
@@ -56,7 +56,6 @@ DESIGN_REQUIRED = (
     "fused",
     "per-pc",
     "REPRO_SUPERBLOCKS",
-    "SUPERBLOCK_VERSION",
     "warm worker pool",
     "rebuild",
     # Observability: event bus, spans, histograms, SSE backpressure.
@@ -69,16 +68,11 @@ DESIGN_REQUIRED = (
     "slow consumer",
     "/dashboard",
     "Prometheus",
-    # Sharded serving over the tiered artifact cache.
-    "consistent hash",
-    "--shard",
-    "--peers",
+    # Several servers over the shared cache tier.
     "--shared-cache-dir",
     "tiered",
     "write-through",
     "promote",
-    "peer fetch",
-    "misrouted",
     "heal",
     "readable_digest",
     "byte-identical",

@@ -3,7 +3,7 @@
 
 What CI's service job runs (``make service-smoke``, and again as
 ``make service-smoke-workers`` with ``--workers 4`` to cover the
-sharded multi-worker drain), end to end through the real CLI and real
+concurrent multi-worker drain), end to end through the real CLI and real
 sockets:
 
 1. start ``python -m repro serve --port 0`` as a subprocess (with

@@ -1,31 +1,29 @@
 #!/usr/bin/env python
-"""Shard smoke: two real server processes, one shared cache, one answer.
+"""Shared-cache smoke: two real server processes, one shared cache.
 
-What CI's service job runs as ``make shard-smoke``, end to end through
-the real CLI, real sockets, and real subprocesses:
+What CI's service job runs as ``make shared-cache-smoke``, end to end
+through the real CLI, real sockets, and real subprocesses:
 
-1. reserve two ports and spawn ``python -m repro serve --shard 0/2``
-   and ``--shard 1/2``, both pointed at one ``--shared-cache-dir`` and
-   the same ``--peers`` list;
-2. split a tiny sweep into per-value jobs submitted over the *fleet*
-   URL (client-side consistent-hash routing picks each job's shard),
-   then submit the combined sweep;
+1. spawn two plain ``python -m repro serve --port 0`` processes, each
+   with its own queue and local cache, both pointed at one
+   ``--shared-cache-dir``;
+2. split a tiny sweep into per-value jobs, one on each server, then
+   submit the combined sweep to the first;
 3. assert every served document is byte-identical to the direct serial
    :func:`run_sweep` manifest;
-4. resubmit the combined sweep directly to the shard that did NOT
-   serve it first — it must instant-complete from the shared tier
+4. resubmit the combined sweep to the second server, which never ran
+   it — it must instant-complete from the shared tier
    (``source == "cache"``, zero extra cells, nonzero shared-tier hits);
 5. tear both servers down.
 
 The script enforces its own deadline (CI wraps it in a hard ``timeout``
-as well) so a wedged shard fails fast instead of hanging the job.
+as well) so a wedged server fails fast instead of hanging the job.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import socket
 import subprocess
 import sys
 import tempfile
@@ -42,11 +40,7 @@ from repro.experiments.runner import (  # noqa: E402
     ExperimentProfile,
 )
 from repro.experiments.sweep import adhoc_spec, run_sweep  # noqa: E402
-from repro.service.client import (  # noqa: E402
-    get_stats,
-    route_url,
-    submit_and_wait,
-)
+from repro.service.client import get_stats, submit_and_wait  # noqa: E402
 from repro.service.dispatcher import sweep_title  # noqa: E402
 
 DEADLINE_SECONDS = 150.0
@@ -70,30 +64,17 @@ def _serial_document(values) -> bytes:
     return render_manifest(profile.name, {spec.name: result}).encode("utf-8")
 
 
-def _free_ports(count):
-    sockets = [socket.socket() for _ in range(count)]
-    try:
-        for sock in sockets:
-            sock.bind(("127.0.0.1", 0))
-        return [sock.getsockname()[1] for sock in sockets]
-    finally:
-        for sock in sockets:
-            sock.close()
-
-
-def _spawn_shard(tmp, index, count, peers):
+def _spawn_server(tmp, name):
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    # No --port: each shard binds the port in its own --peers entry.
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--shard", f"{index}/{count}", "--peers", ",".join(peers),
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--shared-cache-dir", os.path.join(tmp, "shared-cache"),
-         "--cache-dir", os.path.join(tmp, "cache"),
-         "--queue-dir", os.path.join(tmp, "queue")],
+         "--cache-dir", os.path.join(tmp, f"cache-{name}"),
+         "--queue-dir", os.path.join(tmp, f"queue-{name}")],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True, env=env,
     )
@@ -110,67 +91,60 @@ def _spawn_shard(tmp, index, count, peers):
     reader.join(timeout=30.0)
     if not url_box:
         process.terminate()
-        raise RuntimeError(f"shard {index}/{count} did not announce in 30s")
-    if url_box[0] != peers[index]:
-        process.terminate()
-        raise RuntimeError(
-            f"shard {index}/{count} announced {url_box[0]}, "
-            f"expected {peers[index]}"
-        )
-    return process
+        raise RuntimeError(f"server {name} did not announce in 30s")
+    return process, url_box[0]
 
 
 def main() -> int:
     started = time.monotonic()
-    ports = _free_ports(2)
-    peers = [f"http://127.0.0.1:{port}" for port in ports]
-    fleet = ",".join(peers)
     processes = []
-    with tempfile.TemporaryDirectory(prefix="repro-shard-smoke-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro-shared-smoke-") as tmp:
         try:
-            for index in range(2):
-                processes.append(_spawn_shard(tmp, index, 2, peers))
-            print(f"fleet up: {fleet}")
+            urls = []
+            for name in ("a", "b"):
+                process, url = _spawn_server(tmp, name)
+                processes.append(process)
+                urls.append(url)
+            first, second = urls
+            print(f"servers up: {first} {second}")
 
-            # Split the sweep over the fleet, then run it combined.
-            for values in ([SWEEP_VALUES[0]], [SWEEP_VALUES[1]],
-                           SWEEP_VALUES):
-                owner = route_url(fleet, _payload(values))
+            # Split the sweep over both servers, then run it combined.
+            for url, values in ((first, [SWEEP_VALUES[0]]),
+                                (second, [SWEEP_VALUES[1]]),
+                                (first, SWEEP_VALUES)):
                 job, document = submit_and_wait(
-                    fleet, _payload(values), client="shard-smoke",
+                    url, _payload(values), client="shared-cache-smoke",
                     timeout=DEADLINE_SECONDS,
                 )
                 assert document == _serial_document(values), (
                     f"values={values}: served document differs from "
                     f"serial run_sweep"
                 )
-                print(f"values={values}: {job['state']} on {owner} "
+                print(f"values={values}: {job['state']} on {url} "
                       f"(source: {job['source']}), byte-identical "
                       f"to serial")
 
-            # Cross-shard warm read: the shard that did NOT own the
-            # combined sweep serves it from the shared tier.
+            # Cross-process warm read: the second server never ran the
+            # combined sweep and serves it from the shared tier.
             combined = _payload(SWEEP_VALUES)
-            warm_owner = route_url(fleet, combined)
-            cold = next(u for u in peers if u != warm_owner)
-            cells_before = get_stats(cold)["dispatcher"]["cells_executed"]
+            cells_before = get_stats(second)["dispatcher"]["cells_executed"]
             job, document = submit_and_wait(
-                cold, combined, client="shard-smoke-cold",
+                second, combined, client="shared-cache-smoke-cold",
                 timeout=DEADLINE_SECONDS,
             )
-            cells_after = get_stats(cold)["dispatcher"]["cells_executed"]
+            cells_after = get_stats(second)["dispatcher"]["cells_executed"]
             assert job["source"] == "cache", (
-                f"cold shard recomputed (source: {job['source']})"
+                f"second server recomputed (source: {job['source']})"
             )
             assert cells_after == cells_before, (
-                "cold shard executed cells for a shared-tier result"
+                "second server executed cells for a shared-tier result"
             )
             assert document == _serial_document(SWEEP_VALUES)
-            tiers = get_stats(cold)["tiered"]
+            tiers = get_stats(second)["tiered"]
             assert tiers["shared"]["hits"] > 0, (
-                f"no shared-tier hits on the cold shard: {tiers}"
+                f"no shared-tier hits on the second server: {tiers}"
             )
-            print(f"cross-shard instant-complete on {cold}: "
+            print(f"cross-process instant-complete on {second}: "
                   f"source=cache, shared-tier hits="
                   f"{tiers['shared']['hits']}, zero extra cells")
         finally:
@@ -183,7 +157,7 @@ def main() -> int:
                     process.kill()
         elapsed = time.monotonic() - started
         assert elapsed < DEADLINE_SECONDS, f"smoke took {elapsed:.0f}s"
-        print(f"shard smoke OK in {elapsed:.1f}s")
+        print(f"shared-cache smoke OK in {elapsed:.1f}s")
     return 0
 
 

@@ -272,40 +272,15 @@ def _serve_main(argv) -> int:
         help="interface to bind (default: 127.0.0.1)",
     )
     parser.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (default: 8742, or this shard's own --peers "
-             "URL port when --shard is set; 0 picks a free port)",
-    )
-    parser.add_argument(
-        "--shard", metavar="K/N", default=None,
-        help="run as shard K of N (0-based): requires --peers listing "
-             "all N shard base URLs in index order (this process is "
-             "entry K); clients consistent-hash route request "
-             "fingerprints over the same list, so equivalent requests "
-             "always land on one shard and dedup converges",
-    )
-    parser.add_argument(
-        "--peers", metavar="URL,URL,...", default=None,
-        help="with --shard K/N: the N shard base URLs in index order "
-             "(self included at position K); the other entries are "
-             "dialed for artifact peer fetch",
+        "--port", type=int, default=8742,
+        help="TCP port (default: 8742; 0 picks a free port)",
     )
     parser.add_argument(
         "--shared-cache-dir", metavar="DIR", default=None,
         help="shared artifact-cache tier (read-through on local miss, "
-             "write-through on store) — point every shard at one "
-             "shared directory so any shard instant-completes from "
-             "any other shard's work; usable without --shard too",
-    )
-    parser.add_argument(
-        "--peer-timeout", type=float, default=2.0, metavar="SECONDS",
-        help="per-peer deadline for one artifact fetch; a dead peer "
-             "costs at most this before computing locally (default: 2)",
-    )
-    parser.add_argument(
-        "--no-peer-fetch", action="store_true",
-        help="never dial peers for artifacts (shared-dir and local "
-             "tiers only); routing and shard stats are unaffected",
+             "write-through on store) — point several servers at one "
+             "shared directory so each instant-completes from the "
+             "others' finished work",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -363,11 +338,6 @@ def _serve_main(argv) -> int:
              "(default: 30)",
     )
     parser.add_argument(
-        "--no-superblocks", action="store_true",
-        help="disable superinstruction (fused basic-block) compilation "
-             "in the functional engine; for A/B diagnosis",
-    )
-    parser.add_argument(
         "--log-json", action="store_true",
         help="structured logging: print every event-bus record (access "
              "logs with path/status/duration_ms, job transitions, "
@@ -400,58 +370,9 @@ def _serve_main(argv) -> int:
         parser.error("--job-timeout must be >= 0")
     if args.drain_grace < 0:
         parser.error("--drain-grace must be >= 0")
-    if args.peer_timeout <= 0:
-        parser.error("--peer-timeout must be > 0")
-    if args.peers and not args.shard:
-        parser.error("--peers requires --shard K/N")
-    port = args.port
-    queue_dir, cache_dir = args.queue_dir, args.cache_dir
-    peer_urls = None
-    if args.shard:
-        from repro.service.routing import parse_shard_spec
-
-        try:
-            shard_index, shard_count = parse_shard_spec(args.shard)
-        except ValueError as error:
-            parser.error(str(error))
-        if not args.peers:
-            parser.error("--shard requires --peers (all shard URLs, "
-                         "index order)")
-        peer_urls = tuple(
-            u.strip() for u in args.peers.split(",") if u.strip()
-        )
-        if len(peer_urls) != shard_count:
-            parser.error(
-                f"--shard {args.shard} needs exactly {shard_count} "
-                f"--peers URL(s); got {len(peer_urls)}"
-            )
-        if port is None:
-            # Default the bind port to this shard's own announced URL,
-            # so one --peers list configures the whole fleet.
-            from urllib.parse import urlsplit
-
-            port = urlsplit(peer_urls[shard_index]).port
-            if port is None:
-                parser.error(
-                    f"--peers entry {shard_index} "
-                    f"({peer_urls[shard_index]!r}) has no explicit "
-                    "port; pass --port"
-                )
-        # Each shard process owns a private journal and local cache —
-        # only the shared tier is multi-writer — so the default dirs
-        # are suffixed with the shard identity.
-        suffix = f"-shard-{shard_index}-of-{shard_count}"
-        queue_dir = args.queue_dir + suffix
-        cache_dir = args.cache_dir + suffix
-    if port is None:
-        port = 8742
-    if args.no_superblocks:
-        # Inherited by spawned pool workers, so
-        # one flag disables fused-block execution service-wide.  Set
-        # before any simulation import can snapshot the gate.
-        os.environ["REPRO_SUPERBLOCKS"] = "0"
 
     from repro.service.server import serve_forever
+    from repro.sim.compile import superblocks_enabled
 
     def announce(server):
         # In --log-json mode stdout is reserved for JSON records (the
@@ -460,24 +381,23 @@ def _serve_main(argv) -> int:
         stream = sys.stderr if args.log_json else sys.stdout
         print(f"serving on {server.url}", file=stream, flush=True)
         pool = server.dispatcher.pool
-        shard_note = (
-            f"shard: {args.shard} "
-            f"(shared tier: {args.shared_cache_dir or 'none'}); "
-            if args.shard else ""
+        shared_note = (
+            f"shared tier: {args.shared_cache_dir}; "
+            if args.shared_cache_dir else ""
         )
         print(
-            f"queue journal: {queue_dir}; cache: {cache_dir}; "
-            f"{shard_note}"
+            f"queue journal: {args.queue_dir}; cache: {args.cache_dir}; "
+            f"{shared_note}"
             f"workers: {args.workers}; jobs/batch: {args.jobs}; "
             f"max batch: {args.max_batch}; "
             f"worker pool: {pool.max_workers if pool else 'none'}; "
-            f"superblocks: {'off' if args.no_superblocks else 'on'}",
+            f"superblocks: {'on' if superblocks_enabled() else 'off'}",
             file=sys.stderr, flush=True,
         )
 
     drained_clean = serve_forever(
-        queue_dir, cache_dir,
-        host=args.host, port=port,
+        args.queue_dir, args.cache_dir,
+        host=args.host, port=args.port,
         jobs=args.jobs, max_batch=args.max_batch,
         workers=args.workers,
         compact_every=args.compact_every or None,
@@ -488,10 +408,7 @@ def _serve_main(argv) -> int:
         job_timeout=args.job_timeout or None,
         drain_grace=args.drain_grace,
         log_json=args.log_json,
-        shard=args.shard, peers=peer_urls,
         shared_cache_dir=args.shared_cache_dir,
-        peer_timeout=args.peer_timeout,
-        peer_fetch=not args.no_peer_fetch,
         announce=announce,
     )
     if not drained_clean:
@@ -518,10 +435,7 @@ def _submit_main(argv) -> int:
     )
     parser.add_argument(
         "--url", default="http://127.0.0.1:8742",
-        help="service base URL; a comma-separated list names a sharded "
-             "fleet (same order as the servers' --peers) and the "
-             "request is consistent-hash routed to its owning shard "
-             "(default: http://127.0.0.1:8742)",
+        help="service base URL (default: http://127.0.0.1:8742)",
     )
     parser.add_argument(
         "--axis", metavar="AXIS",

@@ -107,29 +107,29 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of every ``.py`` source file under ``src/repro``.
-
-    Baked into every cache key so that editing *any* simulator, workload,
-    or experiment source invalidates previously stored artifacts — the
-    coarse-but-safe invalidation rule DESIGN.md motivates.  The
-    superblock codegen version is folded in explicitly: the generated
-    superinstruction bodies are not source files on disk, so a codegen
-    change must bump :data:`repro.sim.compile.SUPERBLOCK_VERSION` to be
-    sure stale artifacts can never be served.
-    """
-    from repro.sim.compile import SUPERBLOCK_VERSION
-
-    package_root = Path(__file__).resolve().parents[1]
+def source_digest(package_root: Path) -> str:
+    """Digest of every ``.py`` source file under ``package_root``."""
     digest = hashlib.sha256()
     for path in sorted(package_root.rglob("*.py")):
         digest.update(str(path.relative_to(package_root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-    digest.update(f"superblocks:{SUPERBLOCK_VERSION}".encode("utf-8"))
     return digest.hexdigest()[:16]
+
+
+@lru_cache(maxsize=1)
+def code_version() -> str:
+    """Digest of every ``.py`` source file under ``src/repro``.
+
+    Baked into every cache key so that editing *any* simulator, workload,
+    or experiment source invalidates previously stored artifacts — the
+    coarse-but-safe invalidation rule DESIGN.md motivates.  That covers
+    the superblock code generator too: the generated superinstruction
+    bodies are not files on disk, but ``sim/compile.py``, which emits
+    them, is.
+    """
+    return source_digest(Path(__file__).resolve().parents[1])
 
 
 def write_json_atomic(
@@ -391,9 +391,9 @@ class ArtifactCache:
         """Persist ``value`` under a digest already in hand.
 
         The write path :meth:`store` bottoms out in, exposed for tier
-        promotion: a tiered cache that fetched an artifact from a
-        shared directory or a peer already knows the digest and has no
-        key tuple to recompute it from.  Same atomicity contract as
+        promotion: a tiered cache that read an artifact from a shared
+        directory already knows the digest and has no key tuple to
+        recompute it from.  Same atomicity contract as
         :meth:`store`.
         """
         path = self._path(kind, digest)

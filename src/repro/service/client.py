@@ -35,7 +35,6 @@ __all__ = [
     "get_result",
     "get_stats",
     "poll_job",
-    "route_url",
     "stream_events",
     "submit_and_wait",
     "submit_job",
@@ -126,39 +125,8 @@ def _json_or_error(
     return payload
 
 
-def _base_urls(base_url) -> Tuple[str, ...]:
-    """Accept one URL, a comma-separated string, or a sequence of URLs."""
-    if isinstance(base_url, str):
-        urls = tuple(u.strip() for u in base_url.split(",") if u.strip())
-    else:
-        urls = tuple(str(u).strip() for u in base_url if str(u).strip())
-    if not urls:
-        raise ServiceError("no service URL given")
-    return tuple(u.rstrip("/") for u in urls)
-
-
-def route_url(base_url, payload: dict) -> str:
-    """Resolve a possibly multi-URL ``base_url`` to one shard URL.
-
-    This is the client half of sharded serving: given every shard's
-    base URL (comma-separated or a sequence, in the same index order
-    the servers were started with), the request payload is normalized
-    and fingerprinted exactly as the dispatcher will, and the
-    consistent-hash ring picks the owning shard — so every spelling of
-    one logical request, from every client, lands on the same process
-    and submit-time dedup converges.  A single URL short-circuits
-    without touching the routing machinery (the unsharded fast path).
-    """
-    urls = _base_urls(base_url)
-    if len(urls) == 1:
-        return urls[0]
-    from repro.service.routing import route_request
-
-    return route_request(urls, payload)
-
-
 def submit_job(
-    base_url, payload: dict, *, client: str = "cli",
+    base_url: str, payload: dict, *, client: str = "cli",
     timeout: float = 30.0,
     max_retries: int = 0,
     backoff_base: float = 0.1,
@@ -176,19 +144,16 @@ def submit_job(
     (if given) observes each ``(attempt, delay, error)`` before the
     sleep.  Non-retryable errors, and a refusal on the final attempt,
     raise :class:`ServiceError` with ``.status`` / ``.retry_after`` set.
-
-    ``base_url`` may name several shard servers (comma-separated or a
-    sequence); the payload is then consistent-hash routed to its owning
-    shard via :func:`route_url` before submission.
+    A trailing ``/`` on ``base_url`` is ignored.
     """
-    base = route_url(base_url, payload)
+    base_url = base_url.rstrip("/")
     body = dict(payload)
     body["client"] = client
     encoded = json.dumps(body).encode("utf-8")
     attempts = max(0, max_retries) + 1
     for attempt in range(attempts):
         status, raw, headers = _request(
-            "POST", f"{base}/v1/jobs", encoded, timeout
+            "POST", f"{base_url}/v1/jobs", encoded, timeout
         )
         try:
             return _json_or_error(status, raw, "submit", headers)
@@ -373,7 +338,7 @@ def compact_queue(
 
 
 def submit_and_wait(
-    base_url,
+    base_url: str,
     payload: dict,
     *,
     client: str = "cli",
@@ -389,20 +354,18 @@ def submit_and_wait(
     Returns ``(job record, result document bytes)``; raises
     :class:`ServiceError` if the job fails or the deadline passes.
     Retry parameters apply to the submission only (polls hit GET
-    routes, which the service never rate-limits).  With a multi-URL
-    ``base_url`` the owning shard is resolved once up front, and the
-    poll and result fetch stay on that shard — the job record and its
-    artifact live where the submission landed.
+    routes, which the service never rate-limits).  A trailing ``/`` on
+    ``base_url`` is ignored.
     """
-    base = route_url(base_url, payload)
+    base_url = base_url.rstrip("/")
     receipt = submit_job(
-        base, payload, client=client, timeout=timeout,
+        base_url, payload, client=client, timeout=timeout,
         max_retries=max_retries, backoff_base=backoff_base,
         backoff_cap=backoff_cap, on_retry=on_retry,
     )
-    job = poll_job(base, receipt["id"], timeout=timeout, poll=poll)
+    job = poll_job(base_url, receipt["id"], timeout=timeout, poll=poll)
     if job["state"] == "done":
-        return job, get_result(base, job["result_key"], timeout=timeout)
+        return job, get_result(base_url, job["result_key"], timeout=timeout)
     if job["state"] == "quarantined":
         raise ServiceError(
             f"job {job['id']} quarantined after "

@@ -20,7 +20,7 @@ and the compute core, and is where the service earns its keep:
   per client), grouped by compatible profile, and their cells fused
   into one worker-pool batch.  The pool width (``jobs``) and the batch
   size (``max_batch``) bound each batch's concurrency budget.
-* **Sharded multi-worker dispatch** — ``workers`` drain slots call
+* **Multi-worker dispatch** — ``workers`` drain slots call
   :meth:`Dispatcher.drain_once` concurrently.  Claiming is atomic (one
   dispatcher-wide lock covers the fair drain *and* the
   ``queued -> running`` transitions), so two workers never pull the
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.cache import ArtifactCache, CacheCounters, fingerprint
+from repro.experiments.cache import ArtifactCache, CacheCounters
 from repro.experiments.export import render_manifest
 from repro.experiments.parallel import (
     ContainedReport,
@@ -67,7 +67,6 @@ from repro.experiments.sweep import (
     sweep_title,
 )
 from repro.registry import UnknownComponentError
-from repro.service.routing import ConsistentHashRing
 from repro.service.tiered import TieredArtifactCache
 from repro.service.queue import (
     JobQueue,
@@ -87,7 +86,6 @@ __all__ = [
     "DispatcherStats",
     "RequestError",
     "normalize_request",
-    "request_digest",
     "sweep_title",
 ]
 
@@ -211,19 +209,6 @@ def _result_key(request: dict) -> tuple:
     return (request,)
 
 
-def request_digest(request: dict) -> str:
-    """The shard-routing fingerprint of a *normalized* request.
-
-    Deliberately version-free (unlike artifact digests, which fold in
-    ``code_version``): a code change must invalidate cached artifacts,
-    but it must *not* reshuffle which shard owns a request — placement
-    stability is what keeps warm caches and in-flight dedup valid
-    across deploys.  Every spelling that normalizes to the same request
-    dict shares this fingerprint, so it also shares a shard.
-    """
-    return fingerprint("route", request)
-
-
 def _spec_for(request: dict, profile: ExperimentProfile):
     """The SweepSpec for a normalized sweep request (CLI-identical path)."""
     return adhoc_spec(
@@ -253,12 +238,6 @@ class DispatcherStats:
     deps_deduped_inflight: int = 0
     #: Batches that started while at least one other batch was executing.
     overlapped_batches: int = 0
-    #: Submissions this shard accepted although the consistent-hash ring
-    #: assigns their fingerprint to a different shard (a client that
-    #: skipped routing).  Accepted anyway — correctness never depends on
-    #: placement, only dedup convergence does — but a growing count
-    #: means clients are defeating cross-shard dedup.
-    misrouted: int = 0
     #: Submissions refused at admission (429 quota / 503 depth / 413 size).
     rejected_quota: int = 0
     rejected_depth: int = 0
@@ -426,9 +405,6 @@ class Dispatcher:
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         cache: Optional[ArtifactCache] = None,
-        shard_index: int = 0,
-        shard_count: int = 1,
-        shard_urls: Tuple[str, ...] = (),
     ) -> None:
         self.queue = queue
         #: Observability: the queue owns the event bus + tracer (its
@@ -437,23 +413,11 @@ class Dispatcher:
         #: execution-phase spans (batched/executed/assembled/cache_hit).
         self.events = queue.events
         self.tracer = queue.tracer
-        #: The artifact store.  A tiered cache even when no shared dir or
-        #: peers are configured: the tier tallies then just mirror the
-        #: local counters, and ``/v1/stats`` keeps one schema either way.
+        #: The artifact store.  A tiered cache even when no shared dir is
+        #: configured: the tier tallies then just mirror the local
+        #: counters, and ``/v1/stats`` keeps one schema either way.
         self.cache = (
             cache if cache is not None else TieredArtifactCache(cache_root)
-        )
-        #: Shard identity (``repro serve --shard K/N --peers ...``).
-        #: ``shard_urls`` is all N announced base URLs in index order —
-        #: the ring every client routes over — and ``shard_urls[K]`` is
-        #: this process.  Unsharded servers keep the 0/1 defaults and no
-        #: ring.
-        self.shard_index = int(shard_index)
-        self.shard_count = max(1, int(shard_count))
-        self.shard_urls = tuple(str(u).rstrip("/") for u in shard_urls)
-        self._ring = (
-            ConsistentHashRing(self.shard_urls)
-            if self.shard_count > 1 and self.shard_urls else None
         )
         self.jobs = max(1, jobs)
         self.max_batch = max(1, max_batch)
@@ -568,18 +532,12 @@ class Dispatcher:
         request = normalize_request(payload)
         with self._stats_lock:
             self.stats.submissions += 1
-        if (self._ring is not None
-                and self._ring.owner(request_digest(request))
-                != self.shard_urls[self.shard_index]):
-            with self._stats_lock:
-                self.stats.misrouted += 1
         digest = self.cache.digest(RESULT_KIND, _result_key(request))
         # readable_digest, not the pure path probe: a torn artifact is
         # healed (unlinked + counted) and the job recomputed instead of
         # instant-completing onto a result_key every GET will 500 on.
-        # On a tiered cache this also walks the shared tier and — for a
-        # cold key on a non-owner shard — asks peers, which is exactly
-        # how shard B instant-completes from shard A's work.
+        # On a tiered cache this also walks the shared tier, which is how
+        # one server instant-completes from another server's work.
         cached = self.cache.readable_digest(RESULT_KIND, digest)
         if not cached:
             # While the breaker is open, new *work* is refused (503 +
@@ -650,20 +608,8 @@ class Dispatcher:
         }
 
     def load_result(self, result_key: str) -> Optional[str]:
-        """The rendered JSON document stored under an artifact digest.
-
-        Serves from the *directory* tiers only — never a peer fetch.
-        The ``/v1/results`` handler calls this, and that endpoint is
-        itself the peer-fetch transport: if serving it could consult
-        peers, two shards missing the same digest would request it from
-        each other in an unbounded ping-pong.
-        """
-        if isinstance(self.cache, TieredArtifactCache):
-            hit, value = self.cache.load_digest(
-                RESULT_KIND, result_key, allow_peer=False
-            )
-        else:
-            hit, value = self.cache.load_digest(RESULT_KIND, result_key)
+        """The rendered JSON document stored under an artifact digest."""
+        hit, value = self.cache.load_digest(RESULT_KIND, result_key)
         return value if hit else None
 
     # -- execution -------------------------------------------------------
@@ -702,7 +648,7 @@ class Dispatcher:
         ``queued -> running`` transitions one indivisible step across
         drain workers: two concurrent slots can never pull the same job,
         and a slot claiming jobs of one profile leaves other profiles'
-        jobs queued for the next slot — the sharding rule.
+        jobs queued for the next slot — the grouping rule.
         """
         with self._claim_lock:
             drained = self.queue.pending_fair(self.max_batch)
@@ -1101,7 +1047,7 @@ class Dispatcher:
             #: Bumped whenever a section or key is added/renamed, so
             #: monitoring consumers can gate on it.  The pinned schema
             #: test asserts the exact key set at each version.
-            "schema_version": 3,
+            "schema_version": 4,
             "started_at": round(self._started_wall, 3),
             "uptime_seconds": round(time.time() - self._started_wall, 3),
             "queue": {
@@ -1121,16 +1067,6 @@ class Dispatcher:
                 "cells_deduped_inflight": self.stats.cells_deduped_inflight,
                 "deps_deduped_inflight": self.stats.deps_deduped_inflight,
                 "overlapped_batches": self.stats.overlapped_batches,
-            },
-            "shard": {
-                "index": self.shard_index,
-                "count": self.shard_count,
-                "url": (
-                    self.shard_urls[self.shard_index]
-                    if self._ring is not None else None
-                ),
-                "peers": len(self.shard_urls),
-                "misrouted": self.stats.misrouted,
             },
             "admission": {
                 "quota": self.quota,

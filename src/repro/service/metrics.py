@@ -43,10 +43,6 @@ _GAUGE_KEYS = {
     "repro_queue_compaction_generation",
     "repro_queue_compaction_journal_entries",
     "repro_queue_compaction_snapshot_jobs",
-    "repro_shard_index",
-    "repro_shard_count",
-    "repro_shard_peers",
-    "repro_tiered_peer_count",
 }
 
 

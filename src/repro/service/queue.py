@@ -59,8 +59,9 @@ dispatcher reclaims expired leases through the same retry/quarantine
 policy.
 
 The queue is thread-safe (the HTTP server submits from the asyncio
-thread while dispatcher workers drain concurrently) but single-process;
-multi-process sharing would shard queue directories, not this file.
+thread while dispatcher workers drain concurrently) but single-process:
+each server process owns its own queue directory, and several processes
+share work only through the artifact cache's shared tier.
 
 Crash-injection seams: every fsync/rename/append/truncate boundary in
 this module calls :func:`_fp` with a site name from

@@ -85,8 +85,7 @@ from repro.service.queue import (
     JobQueue,
     QueueFullError,
 )
-from repro.service.routing import parse_shard_spec
-from repro.service.tiered import DEFAULT_PEER_TIMEOUT, TieredArtifactCache
+from repro.service.tiered import TieredArtifactCache
 
 __all__ = ["ServiceServer", "ServerThread", "serve_forever"]
 
@@ -150,44 +149,15 @@ class ServiceServer:
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         log_json: bool = False,
-        shard: Optional[str] = None,
-        peers: Optional[Tuple[str, ...]] = None,
         shared_cache_dir=None,
-        peer_timeout: float = DEFAULT_PEER_TIMEOUT,
-        peer_fetch: bool = True,
     ) -> None:
         self.host = host
         self.port = port
         self.workers = max(1, workers)
-        #: Sharding: ``shard`` is this process's ``K/N`` spec and
-        #: ``peers`` the N announced base URLs in index order (self is
-        #: ``peers[K]`` — the same list every client routes over, so
-        #: placement agrees without coordination).  ``shared_cache_dir``
-        #: (usable with or without sharding) adds the read-through/
-        #: write-through directory tier; ``peer_fetch=False`` keeps the
-        #: ring for routing stats but never dials a peer for artifacts.
-        shard_index, shard_count, shard_urls = 0, 1, ()
-        if shard is not None:
-            shard_index, shard_count = parse_shard_spec(shard)
-            shard_urls = tuple(
-                str(u).rstrip("/") for u in (peers or ())
-            )
-            if len(shard_urls) != shard_count:
-                raise ValueError(
-                    f"--shard {shard} needs exactly {shard_count} peer "
-                    f"URL(s) (all shards, index order); got "
-                    f"{len(shard_urls)}"
-                )
-        peer_urls = (
-            tuple(u for i, u in enumerate(shard_urls) if i != shard_index)
-            if peer_fetch else ()
-        )
-        cache = TieredArtifactCache(
-            cache_dir,
-            shared_root=shared_cache_dir,
-            peers=peer_urls,
-            peer_timeout=peer_timeout,
-        )
+        #: ``shared_cache_dir`` adds the read-through/write-through
+        #: directory tier that lets several server processes complete
+        #: from each other's finished work.
+        cache = TieredArtifactCache(cache_dir, shared_root=shared_cache_dir)
         #: Seconds an in-flight batch gets to record its verdict once a
         #: drain begins; stragglers are demoted back to ``queued``.
         self.drain_grace = max(0.0, float(drain_grace))
@@ -209,8 +179,6 @@ class ServiceServer:
             breaker_threshold=breaker_threshold,
             breaker_cooldown=breaker_cooldown,
             cache=cache,
-            shard_index=shard_index, shard_count=shard_count,
-            shard_urls=shard_urls,
         )
         #: The queue owns the bus + tracer (one emission path for live
         #: and replayed mutations); the server streams and renders them.
@@ -812,11 +780,7 @@ def serve_forever(
     job_timeout: Optional[float] = None,
     drain_grace: float = 30.0,
     log_json: bool = False,
-    shard: Optional[str] = None,
-    peers: Optional[Tuple[str, ...]] = None,
     shared_cache_dir=None,
-    peer_timeout: float = DEFAULT_PEER_TIMEOUT,
-    peer_fetch: bool = True,
     announce=None,
 ) -> bool:
     """Run a service in the foreground until signalled (CLI ``serve``).
@@ -834,8 +798,7 @@ def serve_forever(
         max_attempts=max_attempts, job_timeout=job_timeout,
         drain_grace=drain_grace,
         log_json=log_json,
-        shard=shard, peers=peers, shared_cache_dir=shared_cache_dir,
-        peer_timeout=peer_timeout, peer_fetch=peer_fetch,
+        shared_cache_dir=shared_cache_dir,
     )
     try:
         asyncio.run(_amain(server, announce))

@@ -48,12 +48,13 @@ block's partially-executed prefix, whereas per-pc dispatch records up
 to the faulting instruction.  Completed runs — the only ones whose
 state is observable through the public API — are bit-identical.
 
-:data:`SUPERBLOCK_VERSION` is folded into
+This file's bytes are hashed into
 :func:`repro.experiments.cache.code_version`, so artifact-cache keys
 change whenever the superblock codegen changes and stale artifacts can
-never be served.  The ``REPRO_SUPERBLOCKS=0`` environment variable (set
-by ``repro serve --no-superblocks``) is the global escape hatch back to
-pure per-pc dispatch.
+never be served.  The ``REPRO_SUPERBLOCKS=0`` environment variable
+(inherited by spawned pool workers) is the global escape hatch back to
+pure per-pc dispatch, and the oracle the differential tests compare
+against.
 """
 
 from __future__ import annotations
@@ -69,14 +70,10 @@ from repro.isa.opcodes import OP_IS_CONTROL, Opcode
 if TYPE_CHECKING:  # pragma: no cover
     from repro.program.program import Program
 
-#: Bump when the generated code's semantics or layout change; folded into
-#: the artifact-cache ``code_version`` digest.
-SUPERBLOCK_VERSION = 1
-
 #: Longest straight-line run fused into one function; longer runs chain.
 MAX_BLOCK_LEN = 64
 
-#: Environment escape hatch (``repro serve --no-superblocks`` sets it).
+#: Environment escape hatch: ``REPRO_SUPERBLOCKS=0`` disables fusion.
 SUPERBLOCKS_ENV = "REPRO_SUPERBLOCKS"
 
 _MASK32 = 0xFFFF_FFFF
@@ -627,7 +624,7 @@ _NODVI_COUNTERS = {
 def _generate_source(name: str, n: int, blocks: List[tuple],
                      insts: Sequence, trace: bool, nodvi: bool) -> str:
     out: List[str] = [
-        f"# superblocks v{SUPERBLOCK_VERSION} for {name!r} "
+        f"# superblocks for {name!r} "
         f"(trace={'on' if trace else 'off'}, nodvi={nodvi})",
         "def _make(R, mem, engine, cols):",
         "    mg = mem.get",

@@ -1,7 +1,7 @@
 """Cache-integrity regressions: corrupt-artifact healing and numeric
 canonicalization.
 
-Two latent bugs blocked multi-writer (sharded) caching:
+Two latent bugs blocked multi-writer (shared-directory) caching:
 
 * a torn/corrupt ``.pkl`` was counted as a miss by ``load_digest`` but
   left on disk, while the pure path probe (``exists_digest``) kept

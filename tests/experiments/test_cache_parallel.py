@@ -9,6 +9,8 @@ functional or timing simulation.
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,13 @@ from repro.experiments import (
     fig12_context_switch,
     fig13_edvi_overhead,
 )
-from repro.experiments.cache import ArtifactCache, canonical, fingerprint
+from repro.experiments.cache import (
+    ArtifactCache,
+    canonical,
+    code_version,
+    fingerprint,
+    source_digest,
+)
 from repro.experiments.export import render_manifest, to_jsonable
 from repro.experiments import parallel
 from repro.experiments.parallel import Job, execute
@@ -189,6 +197,58 @@ class TestKeySensitivity:
         )
         reader.binary("li_like", edvi=False)
         assert reader.cache.misses("binary") == 1
+
+    def test_codegen_edit_changes_code_version(self, tmp_path):
+        """The superblock code generator is keyed by its source bytes:
+        one changed byte of ``sim/compile.py`` changes the digest."""
+        package = Path(parallel.__file__).resolve().parents[1]
+        assert source_digest(package) == code_version()
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert source_digest(copy) == code_version()
+        compile_py = copy / "sim" / "compile.py"
+        source = bytearray(compile_py.read_bytes())
+        source[-1] ^= 0x01
+        compile_py.write_bytes(bytes(source))
+        assert source_digest(copy) != code_version()
+
+
+class TestSourceDigest:
+    """What the code-version digest covers: every ``.py`` file's path and
+    bytes under the package root, and nothing else."""
+
+    def _package(self, root):
+        (root / "sim").mkdir(parents=True)
+        (root / "__init__.py").write_text("")
+        (root / "sim" / "compile.py").write_text("X = 1\n")
+        return root
+
+    def test_equal_trees_give_equal_digests(self, tmp_path):
+        first = self._package(tmp_path / "one")
+        second = self._package(tmp_path / "two")
+        assert source_digest(first) == source_digest(second)
+        assert len(source_digest(first)) == 16
+
+    def test_adding_a_module_changes_the_digest(self, tmp_path):
+        package = self._package(tmp_path / "pkg")
+        before = source_digest(package)
+        (package / "sim" / "extra.py").write_text("")
+        assert source_digest(package) != before
+
+    def test_renaming_a_module_changes_the_digest(self, tmp_path):
+        package = self._package(tmp_path / "pkg")
+        before = source_digest(package)
+        (package / "sim" / "compile.py").rename(package / "sim" / "emit.py")
+        assert source_digest(package) != before
+
+    def test_non_python_files_are_ignored(self, tmp_path):
+        package = self._package(tmp_path / "pkg")
+        before = source_digest(package)
+        (package / "README.txt").write_text("notes")
+        (package / "sim" / "compile.pyc").write_bytes(b"\0")
+        assert source_digest(package) == before
 
 
 class TestNoCacheBypass:

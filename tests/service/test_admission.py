@@ -283,7 +283,6 @@ class TestStatsSchema:
             "cells_executed", "cells_deduped_inflight",
             "deps_deduped_inflight", "overlapped_batches",
         },
-        "shard": {"index", "count", "url", "peers", "misrouted"},
         "admission": {
             "quota", "max_queue_depth", "max_body_bytes",
             "rejected_quota", "rejected_depth", "rejected_size",
@@ -293,9 +292,7 @@ class TestStatsSchema:
             "timeouts", "bisections", "pool_crashes", "breaker_open",
         },
         "cache": {"session", "lifetime"},
-        "tiered": {
-            "local", "shared", "peer", "shared_root", "peer_count",
-        },
+        "tiered": {"local", "shared", "shared_root"},
         "workers": {
             "count", "active", "inflight_cells", "pool_size",
             "max_batch", "busy_seconds", "utilization", "warm_pool",
@@ -315,10 +312,10 @@ class TestStatsSchema:
         assert set(stats) == set(self.EXPECTED) | self.SCALARS
         for section, keys in self.EXPECTED.items():
             assert set(stats[section]) == keys, section
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
         assert stats["started_at"] > 0
         assert stats["uptime_seconds"] >= 0
-        for tier in ("local", "shared", "peer"):
+        for tier in ("local", "shared"):
             assert set(stats["tiered"][tier]) == {
                 "hits", "misses", "stores", "promotes", "errors",
                 "corrupt",

@@ -1,6 +1,6 @@
 """Multi-worker concurrency stress: exactly-once compute, identical bytes.
 
-The scale-out contract: with ``--workers 4`` draining batches
+The concurrent-dispatch contract: with ``--workers 4`` draining batches
 concurrently, overlapping and identical requests racing in over HTTP
 must still collapse to **exactly one computation per distinct cell**
 (the queue coalesces identical requests, the in-flight registry and the
@@ -159,8 +159,8 @@ class TestFourWorkersStress:
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_worker_count_does_not_change_bytes(tmp_path, workers):
-    """The sharding knob is invisible in the output: any worker count
-    serves the same bytes for the same request."""
+    """The worker-count knob is invisible in the output: any worker
+    count serves the same bytes for the same request."""
     payload = _payload(["34", "42"])
     with ServerThread(
         tmp_path / f"queue-{workers}", tmp_path / f"cache-{workers}",

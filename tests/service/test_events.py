@@ -237,7 +237,7 @@ class TestJobTracer:
 def _sample_snapshot():
     """A minimal but shape-faithful dispatcher snapshot."""
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "started_at": 1000.0,
         "uptime_seconds": 12.5,
         "queue": {

@@ -147,7 +147,7 @@ class TestMetricsEndpoint:
         text = get_metrics(service.url)
         parsed = parse_prometheus(text)
         assert parsed["repro_queue_depth"] == 0.0
-        assert parsed["repro_schema_version"] == 3.0
+        assert parsed["repro_schema_version"] == 4.0
         assert parsed['repro_queue_jobs{state="done"}'] >= 1.0
         assert any(
             name.startswith("repro_stage_latency_seconds_bucket")
@@ -166,7 +166,7 @@ class TestMetricsEndpoint:
 
     def test_stats_satellite_fields(self, service):
         stats = get_stats(service.url)
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
         assert stats["started_at"] > 0
         assert stats["uptime_seconds"] >= 0
         time.sleep(0.05)

@@ -10,6 +10,7 @@ single simulator.
 
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -122,6 +123,16 @@ class TestDispatcher:
         assert dispatcher.stats.coalesced == 1
         assert dispatcher.drain_once() == 1
         assert dispatcher.stats.jobs_completed == 1
+
+    def test_numeric_spellings_coalesce_onto_one_job(self, tmp_path):
+        """``34`` and ``34.0`` are one request: one job, one cell."""
+        dispatcher = self._dispatcher(tmp_path)
+        int_job = dispatcher.submit(dict(PAYLOAD, values=[34]), "alice")
+        float_job = dispatcher.submit(dict(PAYLOAD, values=[34.0]), "bob")
+        assert float_job.id == int_job.id
+        assert dispatcher.stats.coalesced == 1
+        assert dispatcher.drain_once() == 1
+        assert dispatcher.stats.cells_executed == 1
 
     def test_result_matches_direct_run_sweep(
         self, tmp_path, expected_document
@@ -244,6 +255,16 @@ class TestDispatcher:
 
 
 class TestHTTPService:
+    def test_submit_tolerates_a_trailing_slash_on_the_url(
+        self, tmp_path, expected_document
+    ):
+        with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
+            job, document = submit_and_wait(
+                service.url + "/", dict(PAYLOAD), timeout=120
+            )
+            assert job["state"] == "done"
+            assert document == expected_document
+
     def test_concurrent_submissions_one_computation(
         self, tmp_path, expected_document
     ):
@@ -412,3 +433,71 @@ class TestHTTPService:
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(request)
             assert caught.value.code == 400
+
+
+class TestServeCommand:
+    """``repro serve`` argument handling, with the server stubbed out:
+    one process, one queue and cache directory, no fleet options."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Runs ``repro serve ARGS``; returns (kwargs, announce lines)."""
+        import repro.service.server as server_module
+        from repro.__main__ import main
+
+        calls = []
+
+        def fake_serve_forever(queue_dir, cache_dir, **kwargs):
+            calls.append(dict(kwargs, queue_dir=queue_dir,
+                              cache_dir=cache_dir))
+            kwargs["announce"](SimpleNamespace(
+                url="http://127.0.0.1:8742",
+                dispatcher=SimpleNamespace(pool=None),
+            ))
+            return True
+
+        monkeypatch.setattr(server_module, "serve_forever",
+                            fake_serve_forever)
+
+        def run(*args):
+            assert main(["serve", *args]) == 0
+            assert len(calls) == 1
+            return calls.pop()
+
+        return run
+
+    def test_defaults_name_one_unsuffixed_service(self, served):
+        kwargs = served()
+        assert kwargs["port"] == 8742
+        assert kwargs["queue_dir"] == ".repro-queue"
+        assert kwargs["cache_dir"] == ".repro-cache"
+        assert kwargs["shared_cache_dir"] is None
+
+    def test_shared_cache_dir_is_passed_through_and_announced(
+        self, served, capsys, tmp_path
+    ):
+        shared = str(tmp_path / "shared")
+        kwargs = served("--shared-cache-dir", shared)
+        assert kwargs["shared_cache_dir"] == shared
+        assert f"shared tier: {shared};" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, shown", [("1", "on"), ("0", "off")])
+    def test_announce_reports_the_superblocks_gate(
+        self, served, capsys, monkeypatch, value, shown
+    ):
+        monkeypatch.setenv("REPRO_SUPERBLOCKS", value)
+        served()
+        assert f"superblocks: {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--shard", "0/2"],
+        ["--peers", "http://127.0.0.1:1,http://127.0.0.1:2"],
+        ["--peer-timeout", "1"],
+        ["--no-peer-fetch"],
+        ["--no-superblocks"],
+    ], ids=lambda args: args[0])
+    def test_removed_flag_is_rejected(self, served, capsys, args):
+        with pytest.raises(SystemExit) as caught:
+            served(*args)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

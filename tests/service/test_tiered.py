@@ -1,12 +1,15 @@
-"""Unit tests for the tiered artifact cache and consistent-hash routing.
+"""Tests for the tiered artifact cache: local disk, then a shared dir.
 
-Covers the satellite checklist directly: tier promotion order
-(local → shared → peer, promote on hit), peer-fetch timeout/refusal
-fallback (a dead peer is a miss, never an error), consistent-hash
-stability (adding a shard remaps ~1/N fingerprints), and shared-tier
-crash injection (a writer killed between tmp-write and rename leaves
-the local tier intact and never publishes a torn artifact peers could
-read), and pool workers writing through to the shared tier.
+Covers tier promotion order (local → shared, promote on hit),
+shared-tier crash injection (a writer killed between tmp-write and
+rename leaves the local tier intact and never publishes a torn artifact
+another process could read), pool workers writing through to the shared
+tier, and two independent servers over one shared directory: a split
+sweep stays byte-identical to serial ``run_sweep``, and the server that
+never computed a result instant-completes it from the other's work.
+The servers are :class:`ServerThread` instances — the same server object
+the CLI runs, in-thread for test speed; ``scripts/shared_cache_smoke.py``
+covers the real multi-process spawn.
 """
 
 import pickle
@@ -14,14 +17,14 @@ import pickle
 import pytest
 
 from repro.experiments.cache import ArtifactCache, set_store_hook
-from repro.service.dispatcher import Dispatcher
+from repro.experiments.export import render_manifest
+from repro.experiments.runner import ExperimentContext, ExperimentProfile
+from repro.experiments.sweep import adhoc_spec, run_sweep
+from repro.service.client import get_metrics, get_stats, submit_and_wait
+from repro.service.dispatcher import Dispatcher, sweep_title
+from repro.service.metrics import parse_prometheus
 from repro.service.queue import JobQueue, JobState
-from repro.service.routing import (
-    VNODES,
-    ConsistentHashRing,
-    parse_shard_spec,
-    route_request,
-)
+from repro.service.server import ServerThread
 from repro.service.tiered import TieredArtifactCache
 
 VERSION = "tiered-test"
@@ -76,12 +79,11 @@ class TestTierPromotion:
         assert reader.tiers["shared"].hits == 1
         assert not reader.readable_digest("service", "0" * 64)
 
-    def test_double_miss_without_peers_is_clean(self, tmp_path):
+    def test_double_miss_is_clean(self, tmp_path):
         cache = _tiered(tmp_path)
         assert cache.load_digest("service", "0" * 64) == (False, None)
         assert cache.tiers["local"].misses == 1
         assert cache.tiers["shared"].misses == 1
-        assert cache.tiers["peer"].misses == 0  # no peers configured
 
     def test_no_shared_root_degrades_to_plain_cache(self, tmp_path):
         cache = TieredArtifactCache(tmp_path / "solo", version=VERSION)
@@ -89,89 +91,136 @@ class TestTierPromotion:
         assert cache.load_digest("service", digest) == (True, "document")
         assert cache.tier_stats()["shared_root"] is None
 
+    def test_readable_probe_does_not_promote(self, tmp_path):
+        writer = _tiered(tmp_path, "writer")
+        digest = writer.store("service", ("k",), "document")
+        reader = _tiered(tmp_path, "reader")
+        assert reader.readable_digest("service", digest)
+        assert reader.tiers["shared"].promotes == 0
+        local = ArtifactCache(tmp_path / "local-reader", version=VERSION)
+        assert not local.exists_digest("service", digest)
 
-class TestPeerFetch:
-    def _peer_cache(self, tmp_path, fetcher):
-        return TieredArtifactCache(
-            tmp_path / "local", version=VERSION,
-            shared_root=tmp_path / "shared",
-            peers=("http://peer-a:1", "http://peer-b:2"),
-            fetcher=fetcher,
+    def test_first_write_through_creates_the_shared_directory(
+        self, tmp_path
+    ):
+        cache = _tiered(tmp_path, shared_root=tmp_path / "mnt" / "shared")
+        assert not (tmp_path / "mnt").exists()
+        digest = cache.store("service", ("k",), "document")
+        assert cache.shared.load_digest("service", digest) == (
+            True, "document"
         )
 
-    def test_peer_hit_promotes_to_local_and_shared(self, tmp_path):
-        calls = []
+    def test_gc_prunes_only_the_local_tier(self, tmp_path):
+        """One server's gc never deletes work the others rely on."""
+        cache = _tiered(tmp_path)
+        digest = cache.store("service", ("k",), "document")
+        cache.gc(max_bytes=0)
+        local = ArtifactCache(tmp_path / "local-a", version=VERSION)
+        assert not local.exists_digest("service", digest)
+        assert cache.shared.exists_digest("service", digest)
+        assert cache.load_digest("service", digest) == (True, "document")
+        assert cache.tiers["shared"].promotes == 1
 
-        def fetcher(url, timeout):
-            calls.append(url)
-            return b"remote-document"
+    def test_exists_digest_sees_shared_only_artifact_without_tallies(
+        self, tmp_path
+    ):
+        writer = _tiered(tmp_path, "writer")
+        digest = writer.store("service", ("k",), "document")
+        reader = _tiered(tmp_path, "reader")
+        assert reader.exists_digest("service", digest)
+        assert not reader.exists_digest("service", "0" * 64)
+        # A path probe is neither a hit nor a miss on either tier.
+        for tier in ("local", "shared"):
+            assert reader.tiers[tier].hits == 0
+            assert reader.tiers[tier].misses == 0
 
-        cache = self._peer_cache(tmp_path, fetcher)
-        digest = "ab" * 32
-        hit, value = cache.load_digest("service", digest)
-        assert (hit, value) == (True, "remote-document")
-        assert calls == [f"http://peer-a:1/v1/results/{digest}"]
-        assert cache.tiers["peer"].hits == 1
-        assert cache.tiers["peer"].promotes == 1
-        # Promoted into both directory tiers: local serves next time,
-        # and the shared dir now covers every other shard too.
-        assert ArtifactCache(
-            tmp_path / "local", version=VERSION
-        ).load_digest("service", digest) == (True, "remote-document")
-        assert ArtifactCache(
-            tmp_path / "shared", version=VERSION
-        ).load_digest("service", digest) == (True, "remote-document")
+    def test_other_code_version_misses_the_shared_tier(self, tmp_path):
+        writer = _tiered(tmp_path, "writer")
+        writer.store("service", ("k",), "document")
+        reader = TieredArtifactCache(
+            tmp_path / "local-reader", shared_root=tmp_path / "shared",
+            version="other-version",
+        )
+        assert reader.lookup("service", ("k",)) == (False, None)
+        assert reader.tiers["shared"].misses == 1
 
-    def test_dead_peer_is_a_miss_not_an_error(self, tmp_path):
-        def fetcher(url, timeout):
-            raise ConnectionRefusedError("peer down")
+    def test_readable_digest_heals_torn_shared_artifact(self, tmp_path):
+        writer = _tiered(tmp_path, "writer")
+        digest = writer.store("service", ("k",), "document")
+        torn = (tmp_path / "shared" / "service" / digest[:2]
+                / f"{digest}.pkl")
+        torn.write_bytes(pickle.dumps("document")[:7])
 
-        cache = self._peer_cache(tmp_path, fetcher)
-        assert cache.load_digest("service", "cd" * 32) == (False, None)
-        assert cache.tiers["peer"].errors == 2  # both peers tried
-        assert cache.tiers["peer"].hits == 0
+        reader = _tiered(tmp_path, "reader")
+        assert not reader.readable_digest("service", digest)
+        assert not torn.exists()
+        assert reader.tiers["shared"].corrupt == 1
+        assert reader.tiers["shared"].misses == 1
 
-    def test_timeout_falls_through_to_next_peer(self, tmp_path):
-        def fetcher(url, timeout):
-            if "peer-a" in url:
-                raise TimeoutError("slow peer")
-            return b"from-b"
 
-        cache = self._peer_cache(tmp_path, fetcher)
-        assert cache.load_digest("service", "ef" * 32) == (True, "from-b")
-        assert cache.tiers["peer"].errors == 1
-        assert cache.tiers["peer"].hits == 1
+class TestWorkerCopy:
+    def test_keeps_both_roots_and_the_version(self, tmp_path):
+        cache = _tiered(tmp_path)
+        copy = cache.worker_copy()
+        assert isinstance(copy, TieredArtifactCache)
+        assert copy.root == cache.root
+        assert copy.shared.root == cache.shared.root
+        assert copy.version == cache.version == VERSION
 
-    def test_peer_404_is_a_miss(self, tmp_path):
-        cache = self._peer_cache(tmp_path, lambda url, timeout: None)
-        assert cache.load_digest("service", "01" * 32) == (False, None)
-        assert cache.tiers["peer"].misses == 1
-        assert cache.tiers["peer"].errors == 0
+    def test_without_shared_tier_stays_local_only(self, tmp_path):
+        cache = TieredArtifactCache(tmp_path / "solo", version=VERSION)
+        copy = cache.worker_copy()
+        assert copy.shared is None
+        assert copy.tier_stats()["shared_root"] is None
 
-    def test_only_service_kind_dials_peers(self, tmp_path):
-        calls = []
+    def test_starts_with_fresh_tallies(self, tmp_path):
+        cache = _tiered(tmp_path)
+        cache.store("service", ("k",), "document")
+        copy = cache.worker_copy()
+        assert copy.tiers["local"].stores == 0
+        assert copy.tiers["shared"].stores == 0
+        # ...but shares the bytes the parent already wrote.
+        assert copy.lookup("service", ("k",)) == (True, "document")
 
-        def fetcher(url, timeout):
-            calls.append(url)
-            return b"x"
 
-        cache = self._peer_cache(tmp_path, fetcher)
-        assert cache.load_digest("trace", "23" * 32) == (False, None)
-        assert cache.load_digest("timed", "45" * 32) == (False, None)
-        assert calls == []
+class TestSharedTierFailures:
+    """A lost or read-only shared directory degrades, never errors."""
 
-    def test_allow_peer_false_never_dials(self, tmp_path):
-        """The /v1/results handler's anti-ping-pong contract."""
-        calls = []
+    def test_shared_store_failure_is_tallied_not_raised(
+        self, tmp_path, monkeypatch
+    ):
+        cache = _tiered(tmp_path)
 
-        def fetcher(url, timeout):
-            calls.append(url)
-            return b"x"
+        def refuse(kind, digest, value):
+            raise OSError("shared mount gone")
 
-        cache = self._peer_cache(tmp_path, fetcher)
-        hit, _ = cache.load_digest("service", "67" * 32, allow_peer=False)
-        assert not hit
-        assert calls == []
+        monkeypatch.setattr(cache.shared, "store_digest", refuse)
+        digest = cache.store("service", ("k",), "document")
+        assert cache.tiers["shared"].errors == 1
+        assert cache.tiers["shared"].stores == 0
+        assert cache.tiers["local"].stores == 1
+        local = ArtifactCache(tmp_path / "local-a", version=VERSION)
+        assert local.load_digest("service", digest) == (True, "document")
+
+    def test_failed_promotion_still_serves_the_shared_value(
+        self, tmp_path, monkeypatch
+    ):
+        writer = _tiered(tmp_path, "writer")
+        digest = writer.store("service", ("k",), "document")
+
+        def refuse(self, kind, digest, value):
+            raise OSError("local disk full")
+
+        monkeypatch.setattr(ArtifactCache, "store_digest", refuse)
+        reader = _tiered(tmp_path, "reader")
+        assert reader.load_digest("service", digest) == (True, "document")
+        assert reader.tiers["shared"].hits == 1
+        assert reader.tiers["shared"].promotes == 0
+        assert reader.tiers["local"].errors == 1
+        monkeypatch.undo()
+        assert not ArtifactCache(
+            tmp_path / "local-reader", version=VERSION
+        ).exists_digest("service", digest)
 
 
 class TestSharedTierCrashInjection:
@@ -201,7 +250,7 @@ class TestSharedTierCrashInjection:
         cache = self._crash_in_shared(tmp_path, stage)
         digest = cache.digest("service", (("k",)))
         # The local store completed before the shared write-through
-        # began, so this shard still serves its own work.
+        # began, so this server still serves its own work.
         local = ArtifactCache(tmp_path / "local-writer", version=VERSION)
         assert local.load_digest("service", digest) == (True, "document")
 
@@ -211,7 +260,7 @@ class TestSharedTierCrashInjection:
         digest = cache.digest("service", (("k",)))
         shared = ArtifactCache(tmp_path / "shared", version=VERSION)
         # The shared tier has either nothing at all or nothing readable
-        # under the digest — never torn bytes another shard would trust.
+        # under the digest — never torn bytes another server would trust.
         assert not shared.exists_digest("service", digest)
         reader = _tiered(tmp_path, "reader")
         assert reader.load_digest("service", digest) == (False, None)
@@ -271,107 +320,91 @@ class TestPoolWorkersUseSharedTier:
             assert local and shared == local
 
 
-class TestConsistentHashRing:
-    def _keys(self, count=2000):
-        return [f"request-fingerprint-{i:05d}" for i in range(count)]
+TINY = ExperimentProfile.tiny()
 
-    def test_deterministic_and_total(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        again = ConsistentHashRing(["a", "b", "c"])
-        for key in self._keys(200):
-            owner = ring.owner(key)
-            assert owner in ("a", "b", "c")
-            assert again.owner(key) == owner
-
-    def test_reasonably_balanced(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        shares = ring.shares(self._keys())
-        for node, count in shares.items():
-            # 64 vnodes/node keeps every share within ~2x of fair.
-            assert 2000 / 3 / 2 < count < 2000 / 3 * 2, shares
-
-    def test_adding_a_node_remaps_about_one_over_n(self):
-        keys = self._keys()
-        before = ConsistentHashRing(["a", "b", "c"])
-        after = ConsistentHashRing(["a", "b", "c", "d"])
-        moved = sum(
-            1 for key in keys if before.owner(key) != after.owner(key)
-        )
-        # Ideal is 1/4 of keys; allow generous slack but pin the order
-        # of magnitude (modulo hashing would move ~3/4 of them).
-        assert 0.10 * len(keys) < moved < 0.45 * len(keys), moved
-        # Every moved key moved *to* the new node — nothing shuffles
-        # between surviving nodes.
-        for key in keys:
-            if before.owner(key) != after.owner(key):
-                assert after.owner(key) == "d"
-
-    def test_removing_a_node_only_reassigns_its_keys(self):
-        keys = self._keys()
-        full = ConsistentHashRing(["a", "b", "c"])
-        reduced = ConsistentHashRing(["a", "b"])
-        for key in keys:
-            if full.owner(key) != "c":
-                assert reduced.owner(key) == full.owner(key)
-
-    def test_rejects_empty_and_duplicate_nodes(self):
-        with pytest.raises(ValueError):
-            ConsistentHashRing([])
-        with pytest.raises(ValueError):
-            ConsistentHashRing(["a", "a"])
-
-    def test_vnode_count(self):
-        ring = ConsistentHashRing(["a", "b"])
-        assert len(ring._points) == 2 * VNODES
+SWEEP_VALUES = ("34", "42")
 
 
-class TestShardSpec:
-    @pytest.mark.parametrize("spec, expected", [
-        ("0/1", (0, 1)),
-        ("0/2", (0, 2)),
-        ("1/2", (1, 2)),
-        ("3/4", (3, 4)),
-    ])
-    def test_valid(self, spec, expected):
-        assert parse_shard_spec(spec) == expected
-
-    @pytest.mark.parametrize("spec", [
-        "2/2", "-1/2", "0/0", "1", "a/b", "1/2/3x", "",
-    ])
-    def test_invalid(self, spec):
-        with pytest.raises(ValueError):
-            parse_shard_spec(spec)
+def _payload(values):
+    return {"kind": "sweep", "axis": "regfile", "values": list(values),
+            "workloads": ["li_like"], "profile": "tiny"}
 
 
-class TestRouteRequest:
-    URLS = ["http://127.0.0.1:9101", "http://127.0.0.1:9102"]
+def _serial_document(values) -> bytes:
+    """The direct serial run_sweep manifest for ``values``."""
+    spec = adhoc_spec(
+        "regfile", TINY, values=list(values), workloads=["li_like"]
+    )
+    result = run_sweep(
+        spec, TINY, ExperimentContext(TINY),
+        title=sweep_title("regfile", TINY),
+    )
+    return render_manifest(TINY.name, {spec.name: result}).encode("utf-8")
 
-    def _payload(self, **overrides):
-        payload = {"kind": "sweep", "axis": "regfile", "values": [34, 42],
-                   "workloads": ["li_like"], "profile": "tiny"}
-        payload.update(overrides)
-        return payload
 
-    def test_equivalent_spellings_share_a_shard(self):
-        base = route_request(self.URLS, self._payload())
-        # Integral-float values and trailing-slash URLs are the same
-        # logical request over the same fleet.
-        assert route_request(
-            self.URLS, self._payload(values=[34.0, 42.0])
-        ) == base
-        assert route_request(
-            [u + "/" for u in self.URLS], self._payload()
-        ) == base
+def _server(tmp_path, name):
+    """One plain server with a private queue and local cache over the
+    shared directory every server in the test points at."""
+    return ServerThread(
+        tmp_path / f"queue-{name}", tmp_path / f"cache-{name}",
+        shared_cache_dir=tmp_path / "shared-cache",
+    )
 
-    def test_different_requests_spread(self):
-        owners = {
-            route_request(self.URLS, self._payload(values=[v]))
-            for v in (16, 24, 34, 42, 50, 64, 80, 128)
-        }
-        assert owners == set(self.URLS)  # both shards get work
 
-    def test_malformed_payload_fails_at_the_client(self):
-        from repro.service.dispatcher import RequestError
+class TestTwoServersShareOneDirectory:
+    def test_split_sweep_is_byte_identical_to_serial(self, tmp_path):
+        with _server(tmp_path, "a") as first, _server(tmp_path, "b") as second:
+            # Each half of the sweep runs on a different server; the
+            # combined sweep then reassembles bit-for-bit on either.
+            for url, values in ((first.url, ["34"]), (second.url, ["42"]),
+                                (first.url, list(SWEEP_VALUES))):
+                job, document = submit_and_wait(
+                    url, _payload(values), timeout=300,
+                )
+                assert job["state"] == "done"
+                assert document == _serial_document(values)
 
-        with pytest.raises(RequestError):
-            route_request(self.URLS, {"kind": "sweep", "axis": "no-such"})
+    def test_cold_server_instant_completes_via_shared_tier(self, tmp_path):
+        payload = _payload(["34"])
+        with _server(tmp_path, "warm") as warm, \
+                _server(tmp_path, "cold") as cold:
+            job, document = submit_and_wait(warm.url, payload, timeout=300)
+            assert job["state"] == "done"
+
+            # The cold server never ran this sweep, yet completes it
+            # instantly from the shared directory tier.
+            job, again = submit_and_wait(cold.url, payload, timeout=60)
+            assert job["source"] == "cache"
+            assert again == document == _serial_document(["34"])
+
+            stats = get_stats(cold.url)
+            assert stats["dispatcher"]["jobs_from_cache"] == 1
+            assert stats["dispatcher"]["batches"] == 0
+            tiers = stats["tiered"]
+            assert tiers["shared"]["hits"] >= 1
+            assert tiers["shared"]["promotes"] >= 1
+
+    def test_server_without_shared_dir_recomputes(self, tmp_path):
+        payload = _payload(["34"])
+        with _server(tmp_path, "warm") as warm, ServerThread(
+            tmp_path / "queue-solo", tmp_path / "cache-solo",
+        ) as solo:
+            _, document = submit_and_wait(warm.url, payload, timeout=300)
+            # No shared directory: the other server's work is invisible,
+            # so this one computes the sweep itself, to the same bytes.
+            job, again = submit_and_wait(solo.url, payload, timeout=300)
+            assert job["source"] != "cache"
+            assert again == document
+            stats = get_stats(solo.url)
+            assert stats["dispatcher"]["batches"] == 1
+            assert stats["tiered"]["shared_root"] is None
+
+    def test_metrics_expose_local_and_shared_tiers_only(self, tmp_path):
+        with _server(tmp_path, "a") as server:
+            names = set(parse_prometheus(get_metrics(server.url)))
+        for tier in ("local", "shared"):
+            for counter in ("hits", "misses", "stores", "promotes",
+                            "errors", "corrupt"):
+                assert f"repro_tiered_{tier}_{counter}" in names
+        assert not [n for n in names
+                    if "peer" in n or n.startswith("repro_shard")]

@@ -32,7 +32,12 @@ from repro.dvi.config import DVIConfig, SRScheme
 from repro.isa import registers as regs
 from repro.program.builder import ProgramBuilder
 from repro.rewrite.edvi import insert_edvi
-from repro.sim.compile import MAX_BLOCK_LEN, compile_program
+from repro.sim.compile import (
+    MAX_BLOCK_LEN,
+    SUPERBLOCKS_ENV,
+    compile_program,
+    superblocks_enabled,
+)
 from repro.sim.functional import FunctionalSimulator, ReferenceSimulator
 
 #: The configurations that exercise distinct codegen variants: the
@@ -287,3 +292,22 @@ class TestDispatchEngaged:
         sim = FunctionalSimulator(program, DVIConfig.none(), superblocks=False)
         sim.run()
         assert sim._blk_fns is None
+
+
+class TestEnvironmentGate:
+    """``REPRO_SUPERBLOCKS`` is the only global switch: exactly ``0``
+    turns fusion off, anything else (or nothing) leaves it on."""
+
+    @pytest.mark.parametrize("value, enabled", [
+        (None, True), ("1", True), ("0", False), ("", True), ("off", True),
+    ])
+    def test_gate_reads_the_environment(self, monkeypatch, value, enabled):
+        if value is None:
+            monkeypatch.delenv(SUPERBLOCKS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SUPERBLOCKS_ENV, value)
+        assert superblocks_enabled() is enabled
+        program = tight_loop_program(20).build()
+        sim = FunctionalSimulator(program, DVIConfig.none())
+        sim.run()
+        assert (sim._blk_fns is not None) is enabled
