@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shared-cache-smoke events-smoke docs-check bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
+.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shared-cache-smoke events-smoke docs-check bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke core-oracle clean-cache
 
 ## Tier-1 test suite.
 test:
@@ -65,6 +65,12 @@ bench-perf:
 ## identical with fused dispatch enabled and disabled.
 bench-perf-smoke:
 	$(PYTHON) scripts/bench_perf_smoke.py
+
+## Timing-core oracle, quick profile (~25 s): every timing cell's
+## PipelineStats digest must match tests/data/core_oracle_quick.json.
+## (tier-1 checks the tiny profile's digests.)
+core-oracle:
+	$(PYTHON) scripts/core_oracle.py --profile quick
 
 ## Service perf harness: warm-cache requests/sec + cold batch latency;
 ## writes BENCH_service.json at the root.

@@ -8,6 +8,10 @@ additions allowed are newly registered experiments (currently the
 predictor ablation).  This pins the whole pipeline — workload builds,
 simulators, sweep enumeration, table formatting, JSON lowering — against
 silent drift.
+
+The same run also checks the timing-core oracle
+(``tests/data/core_oracle_tiny.json``): every timing cell's
+``PipelineStats`` digest, read from the context the run already warmed.
 """
 
 import json
@@ -19,14 +23,21 @@ from repro.__main__ import EXPERIMENTS
 from repro.experiments.export import render_manifest
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 
+from core_digests import digests, load_oracle, mismatches
+
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_tiny_manifest.json"
 
 
 @pytest.fixture(scope="module")
-def manifest():
+def context():
+    """The context of one serial tiny-profile run-all."""
+    return ExperimentContext(ExperimentProfile.tiny())
+
+
+@pytest.fixture(scope="module")
+def manifest(context):
     """One serial tiny-profile run-all, rendered exactly as the CLI does."""
-    profile = ExperimentProfile.tiny()
-    context = ExperimentContext(profile)
+    profile = context.profile
     results = {
         name: module.run(profile, context)
         for name, (module, _) in EXPERIMENTS.items()
@@ -82,3 +93,12 @@ class TestGoldenManifest:
             indent=2,
         ) + "\n"
         assert rebuilt == golden
+
+
+class TestCoreOracle:
+    def test_every_timing_cell_matches_the_oracle(self, manifest, context):
+        """The run-all above warmed every timing cell; none re-simulates."""
+        cached = dict(context.memo)
+        actual = digests(context.profile, context)
+        assert context.memo == cached
+        assert mismatches(load_oracle("tiny"), actual) == []
