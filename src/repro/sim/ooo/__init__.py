@@ -1,7 +1,6 @@
-"""Out-of-order core: renamer, pipeline model, statistics."""
+"""Out-of-order core: per-trace pre-passes, pipeline model, statistics."""
 
 from repro.sim.ooo.core import OutOfOrderCore, simulate
-from repro.sim.ooo.renamer import Renamer
 from repro.sim.ooo.stats import PipelineStats
 
-__all__ = ["OutOfOrderCore", "PipelineStats", "Renamer", "simulate"]
+__all__ = ["OutOfOrderCore", "PipelineStats", "simulate"]

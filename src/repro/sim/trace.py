@@ -54,7 +54,7 @@ working without the hot paths paying for per-row objects.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.dvi.config import DVIConfig
 from repro.isa.opcodes import OpClass, Opcode
@@ -197,7 +197,7 @@ class Trace:
         "program_name", "dvi", "completed",
         "pcs", "addrs", "next_pcs", "free_masks", "flags",
         "s_op", "s_cls", "s_dst", "s_srcs",
-        "_rows", "_program_insts", "_hot", "_replay",
+        "_rows", "_program_insts", "_derived",
     )
 
     def __init__(
@@ -212,8 +212,7 @@ class Trace:
         self.completed = completed
         self._rows: Optional[List[TraceRecord]] = None
         self._program_insts: Optional[int] = None
-        self._hot: Optional[tuple] = None
-        self._replay: Optional[list] = None
+        self._derived: Dict[tuple, Any] = {}
         self._clear_columns()
         if records:
             self._encode_records(records)
@@ -267,8 +266,7 @@ class Trace:
         """Rebuild every column from a list of row views."""
         self._clear_columns()
         self._program_insts = None
-        self._hot = None
-        self._replay = None
+        self._derived = {}
         n_static = 1 + max((r.pc for r in records), default=-1)
         s_op = array("b", [-1]) * n_static
         s_cls = array("b", [-1]) * n_static
@@ -383,51 +381,23 @@ class Trace:
         """Dynamic ``kill`` annotation instances (cycle overhead only)."""
         return sum(1 for fl in self.flags if not fl & FLAG_PROGRAM)
 
-    def hot_columns(self) -> tuple:
-        """The nine columns as plain lists, for replay loops.
+    def derived(self, key: tuple, compute: Callable[["Trace"], Any]) -> Any:
+        """``compute(self)``, memoized on this trace under ``key``.
 
-        ``array`` indexing boxes a fresh int object on every read; the
-        timing core reads each row's columns a dozen times, so it replays
-        from list views (cached ints, pointer loads).  Built once per
-        trace and memoized — timing sweeps replay the same trace under
-        many machine configurations.
-
-        Returns ``(pcs, addrs, next_pcs, free_masks, flags, s_op, s_cls,
-        s_dst, s_srcs)``.
+        The timing core's per-trace pre-passes (see
+        :mod:`repro.sim.ooo.renamer` and :mod:`repro.sim.ooo.frontend`)
+        live here: timing sweeps replay one trace under many machine
+        configurations, and each pass depends on the trace and on the
+        few configuration fields its key names.  Values must be
+        immutable: a value is published by one dict store, so threads
+        racing on one trace at worst compute it twice.  Re-encoding the
+        trace drops every value, and pickles carry none.
         """
-        if self._hot is None:
-            self._hot = (
-                list(self.pcs),
-                list(self.addrs),
-                list(self.next_pcs),
-                list(self.free_masks),
-                list(self.flags),
-                list(self.s_op),
-                list(self.s_cls),
-                list(self.s_dst),
-                list(self.s_srcs),
-            )
-        return self._hot
-
-    def replay_rows(self) -> list:
-        """Per-row ``(pc, flags, dst, packed_srcs, cls, addr)`` tuples.
-
-        The timing core's fetch/dispatch stages need these six facts for
-        every row; pre-joining them turns six column subscripts per row
-        into one subscript plus a tuple unpack.  Built once per trace and
-        memoized, like :meth:`hot_columns`, because timing sweeps replay
-        the same trace under many machine configurations.
-        """
-        if self._replay is None:
-            (
-                pcs, addrs, _next_pcs, _free_masks, flags,
-                _s_op, s_cls, s_dst, s_srcs,
-            ) = self.hot_columns()
-            self._replay = [
-                (pc, fl, s_dst[pc], s_srcs[pc], s_cls[pc], addr)
-                for pc, fl, addr in zip(pcs, flags, addrs)
-            ]
-        return self._replay
+        value = self._derived.get(key)
+        if value is None:
+            value = compute(self)
+            self._derived[key] = value
+        return value
 
     def op_histogram(self) -> Dict[Opcode, int]:
         by_code = [0] * len(_OPCODES)
@@ -464,8 +434,7 @@ class Trace:
     def __setstate__(self, state: dict) -> None:
         self._rows = None
         self._program_insts = None
-        self._hot = None
-        self._replay = None
+        self._derived = {}
         self.program_name = state["program_name"]
         self.dvi = state["dvi"]
         self.completed = state.get("completed", True)
