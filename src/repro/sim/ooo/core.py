@@ -64,7 +64,7 @@ from typing import Deque, List, Optional
 from repro.errors import SimulationError
 from repro.isa import registers as regs
 from repro.isa.opcodes import NUM_OP_CLASSES, OpClass
-from repro.sim.cache.cache import Cache, CacheGeometry
+from repro.sim.cache.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.ooo.frontend import STOP_MISPREDICT, STOP_MISS, fetch_events
 from repro.sim.ooo.renamer import DROPPED, dataflow
@@ -135,16 +135,14 @@ class OutOfOrderCore:
 
         # The L1D hit path is inlined below (one dict probe per access);
         # only L1 misses call into the L2, which I-cache misses share.
-        l1d = Cache(CacheGeometry(
-            "L1D", h.l1d_size, h.l1d_assoc, h.line_bytes, h.l1_latency
-        ))
+        # (The hierarchy's L1I is unused: the fetch-event pass has its own.)
+        hierarchy = MemoryHierarchy(h)
+        l1d = hierarchy.l1d
         l1d_sets = l1d._sets
         l1d_shift = l1d._set_shift
         l1d_set_mask = l1d._set_mask
         l1d_assoc = h.l1d_assoc
-        l2_access = Cache(CacheGeometry(
-            "L2", h.l2_size, h.l2_assoc, h.line_bytes, h.l2_latency
-        )).access
+        l2_access = hierarchy.l2.access
         l1_l2_latency = l1_latency + h.l2_latency
         l1_l2_mem_latency = l1_l2_latency + h.memory_latency
         l1d_accesses = l1d_misses = 0
@@ -153,22 +151,22 @@ class OutOfOrderCore:
         last_d_dirty = False
         pcs = trace.pcs
 
-        #: Per-cache-port busy-until cycle.  A port is held for the full
-        #: duration of an L1 miss (one outstanding miss per port -- the
-        #: limited non-blocking behaviour of mid-90s data caches), which
-        #: is what makes data bandwidth a contended resource and gives
-        #: save/restore elimination its bandwidth-relief benefit (section
-        #: 5.3's sensitivity analysis).
+        # Per-cache-port busy-until cycle.  A port is held for the full
+        # duration of an L1 miss (one outstanding miss per port -- the
+        # limited non-blocking behaviour of mid-90s data caches), which
+        # is what makes data bandwidth a contended resource and gives
+        # save/restore elimination its bandwidth-relief benefit (section
+        # 5.3's sensitivity analysis).
         ports = [0] * config.cache_ports
         n_ports = len(ports)
-        #: In-flight entries, oldest first (see the ``E_*`` layout).
+        # In-flight entries, oldest first (see the ``E_*`` layout).
         window: Deque[list] = deque()
         window_append = window.append
         window_popleft = window.popleft
-        #: Dispatched-but-unissued entries, oldest first.
+        # Dispatched-but-unissued entries, oldest first.
         pending: List[list] = []
-        #: Completion cycle of each row; the extra last slot is the
-        #: always-ready producer that ``READY`` (-1) source rows index.
+        # Completion cycle of each row; the extra last slot is the
+        # always-ready producer that ``READY`` (-1) source rows index.
         completion = [NEVER] * total + [0]
 
         # Local aliases of the module-level constants (LOAD_FAST beats
