@@ -224,6 +224,10 @@ class OutOfOrderCore:
                 window_popleft()
                 win_len -= 1
                 free_count += entry[E_FREES_]
+                # Still ready for any consumer yet to issue; a small int
+                # drops the cycle's int object, so the array holds at
+                # most a window's worth of them.
+                completion[entry[E_ROW_]] = 0
                 budget -= 1
                 committed += 1
             if budget != commit_width:

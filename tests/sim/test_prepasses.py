@@ -19,7 +19,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.functional import run_program
 from repro.sim.ooo.core import OutOfOrderCore, simulate
 from repro.sim.ooo.frontend import fetch_events, frontend_key, run_frontend
-from repro.sim.ooo.renamer import DROPPED, Dataflow, dataflow, rename
+from repro.sim.ooo.renamer import DROPPED, dataflow, rename
 from repro.workloads.suite import get_program
 
 #: Configuration fields the fetch-event pass reads (``hierarchy.*`` are
@@ -124,7 +124,7 @@ class TestMemoLifetime:
     def test_racing_threads_agree(self, trace_bytes):
         trace = fresh(trace_bytes)
         config = MachineConfig.micro97()
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(4, timeout=30)
         results = []
 
         def race():
@@ -135,7 +135,8 @@ class TestMemoLifetime:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert len(results) == 4
         assert all(result == results[0] for result in results)
 
@@ -148,7 +149,6 @@ class TestConservationCheck:
         row = next(i for i, r in enumerate(rows) if r[0] != DROPPED and r[5])
         rows[row] = rows[row][:5] + (rows[row][5] - 1,)
         altered = flow._replace(rows=tuple(rows))
-        assert isinstance(altered, Dataflow)
         trace.derived(("dataflow",), lambda _trace: altered)
         config = MachineConfig.micro97().with_phys_regs(40)
         with pytest.raises(SimulationError, match="conservation"):
