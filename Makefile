@@ -66,11 +66,13 @@ bench-perf:
 bench-perf-smoke:
 	$(PYTHON) scripts/bench_perf_smoke.py
 
-## Timing-core oracle, quick profile (~25 s): every timing cell's
-## PipelineStats digest must match tests/data/core_oracle_quick.json.
-## (tier-1 checks the tiny profile's digests.)
+## Timing-core oracle, quick profile, under both cycle loops (~5 s C,
+## ~25 s Python): every timing cell's PipelineStats digest must match
+## tests/data/core_oracle_quick.json.  (tier-1 checks the tiny
+## profile's digests under both loops.)
 core-oracle:
 	$(PYTHON) scripts/core_oracle.py --profile quick
+	$(PYTHON) scripts/core_oracle.py --profile quick --loop python
 
 ## Service perf harness: warm-cache requests/sec + cold batch latency;
 ## writes BENCH_service.json at the root.

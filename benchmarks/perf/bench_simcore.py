@@ -11,7 +11,11 @@ trajectory of the simulator is tracked in-tree, PR over PR:
 * **timing** — simulated instructions per second of the out-of-order
   core replaying a trace on the Figure 2 machine, for the first run on
   a fresh trace (which pays for the per-trace pre-passes) and for the
-  best of the runs after it;
+  best of the runs after it, under the C cycle loop (``timing``) and
+  the Python loop (``timing_python``);
+* **cells** (``--cells PROFILE``) — the cycle loop alone over every
+  timing cell of a profile's experiments, pre-pass memos warm, under
+  each loop;
 * **superblocks** — the compiled shape of the hot workload (blocks,
   mean block length) and fused-dispatch vs per-pc-dispatch throughput;
 * **run-all** — wall-clock seconds of ``python -m repro run-all`` on a
@@ -24,13 +28,14 @@ Usage::
     python benchmarks/perf/bench_simcore.py                  # quick profile
     python benchmarks/perf/bench_simcore.py --profile tiny   # CI-sized
     python benchmarks/perf/bench_simcore.py --skip-run-all   # hot loops only
+    python benchmarks/perf/bench_simcore.py --cells quick    # + every quick cell
     python benchmarks/perf/bench_simcore.py --baseline old.json
 
 ``--baseline`` merges a previous output (e.g. one produced by running
 this same script on the pre-optimization tree) into the report and
 computes speedups; the committed ``BENCH_simcore.json`` records the
-before/after of the timing core's per-trace pre-passes, both sides
-measured on the same machine.
+before/after of the C cycle loop, both sides measured on the same
+machine.
 
 The harness is intentionally import-light and API-stable (it only uses
 ``run_program``, ``simulate``, and the CLI) so the identical file can be
@@ -68,6 +73,11 @@ try:  # superblocks landed after the specialization rewrite; keep this
 except ImportError:  # pragma: no cover - baseline revisions only
     compile_program = None
 
+try:  # likewise the C cycle loop: older trees have only the Python loop.
+    from repro.sim.ooo import native  # noqa: E402
+except ImportError:  # pragma: no cover - baseline revisions only
+    native = None
+
 #: Workload used for the hot-loop measurements (procedure-heavy, mixed
 #: ALU/memory/control — representative of the suite).
 HOT_WORKLOAD = "li_like"
@@ -102,7 +112,21 @@ def bench_functional(*, collect_trace: bool) -> dict:
     }
 
 
-def bench_timing() -> dict:
+def _select_loop(loop: str) -> str:
+    """Make ``simulate`` run the named cycle loop; returns the one it will.
+
+    The C loop is built (or loaded) here, so no timed run pays for it.
+    """
+    if loop == "python":
+        os.environ["REPRO_NATIVE"] = "0"
+        return "python"
+    os.environ.pop("REPRO_NATIVE", None)
+    if native is not None and native.cycle_loop() is not None:
+        return "native"
+    return "python"
+
+
+def bench_timing(loop: str) -> dict:
     """Timing-core throughput on one trace, memo-cold and warm.
 
     The core memoizes its per-trace pre-passes (fetch events, renamed
@@ -113,6 +137,7 @@ def bench_timing() -> dict:
     ``trial_seconds`` lists those runs so their spread is on record.
     On a tree without the memo every run is a first run.
     """
+    ran = _select_loop(loop)
     program = get_program(HOT_WORKLOAD, 1)
     trace = run_program(program, DVIConfig.none(), collect_trace=True).trace
     config = MachineConfig.micro97()
@@ -130,6 +155,7 @@ def bench_timing() -> dict:
     trials = [measure() for _ in range(REPEATS)]
     elapsed = min(trials)
     return {
+        "loop": ran,
         "instructions": committed,
         "first_run_seconds": round(first, 4),
         "first_run_insts_per_sec": round(committed / first),
@@ -189,6 +215,55 @@ def bench_superblocks() -> dict:
     }
 
 
+def bench_cells(profile_name: str) -> dict:
+    """The cycle loop alone over every timing cell of a profile.
+
+    Builds the profile's traces, warms each trace's pre-pass memos with
+    one run per cell, then times ``simulate`` over all the cells under
+    the Python loop once and under the C loop ``REPEATS`` times.
+    """
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.runner import ExperimentContext, ExperimentProfile
+
+    profile = ExperimentProfile.by_name(profile_name)
+    context = ExperimentContext(profile)
+    cells = {}
+    for module, _ in EXPERIMENTS.values():
+        for job in module.jobs(profile):
+            if job.kind == "timed":
+                cells.setdefault(context.memo_key(job), job)
+    runs = [
+        (job.machine, context.trace(job.workload, job.dvi,
+                                    edvi_binary=job.edvi_binary))
+        for job in cells.values()
+    ]
+    for config, trace in runs:
+        simulate(config, trace)
+
+    def measure() -> float:
+        started = time.process_time()
+        for config, trace in runs:
+            simulate(config, trace)
+        return time.process_time() - started
+
+    report = {
+        "profile": profile_name,
+        "cells": len(runs),
+        "rows": sum(len(trace) for _, trace in runs),
+    }
+    for loop, repeats in (("python", 1), ("native", REPEATS)):
+        if _select_loop(loop) != loop:
+            continue
+        trials = [measure() for _ in range(repeats)]
+        report[f"{loop}_cpu_seconds"] = [round(trial, 3) for trial in trials]
+    if "native_cpu_seconds" in report:
+        report["native_speedup"] = round(
+            report["python_cpu_seconds"][0]
+            / min(report["native_cpu_seconds"]), 1)
+    os.environ.pop("REPRO_NATIVE", None)
+    return report
+
+
 def bench_run_all(profile: str) -> dict:
     """Cold then warm ``run-all`` wall time against a fresh cache dir."""
     cache_dir = tempfile.mkdtemp(prefix="bench-simcore-cache-")
@@ -237,6 +312,13 @@ def _speedups(current: dict, baseline: dict) -> dict:
     except (KeyError, ZeroDivisionError):
         pass
     try:
+        out["cells_cycle_loop"] = round(
+            baseline["cells"]["python_cpu_seconds"][0]
+            / min(current["cells"]["native_cpu_seconds"]), 2,
+        )
+    except (KeyError, ZeroDivisionError):
+        pass
+    try:
         out["run_all_cold"] = round(
             baseline["run_all"]["cold_seconds"]
             / current["run_all"]["cold_seconds"], 2,
@@ -265,6 +347,11 @@ def main(argv=None) -> int:
         help="measure only the hot loops (no end-to-end pipeline runs)",
     )
     parser.add_argument(
+        "--cells", metavar="PROFILE", choices=("tiny", "quick", "full"),
+        help="also time the cycle loop alone over every timing cell of "
+             "PROFILE, under each loop",
+    )
+    parser.add_argument(
         "--baseline", metavar="JSON",
         help="previous bench_simcore output to embed and compute speedups "
              "against",
@@ -276,8 +363,15 @@ def main(argv=None) -> int:
     metrics["functional_trace"] = bench_functional(collect_trace=True)
     print("benchmarking functional emulator (trace off)...", flush=True)
     metrics["functional_no_trace"] = bench_functional(collect_trace=False)
-    print("benchmarking out-of-order timing core...", flush=True)
-    metrics["timing"] = bench_timing()
+    print("benchmarking out-of-order timing core (C loop)...", flush=True)
+    metrics["timing"] = bench_timing("native")
+    print("benchmarking out-of-order timing core (Python loop)...", flush=True)
+    metrics["timing_python"] = bench_timing("python")
+    os.environ.pop("REPRO_NATIVE", None)
+    if args.cells:
+        print(f"benchmarking the cycle loop over every {args.cells} timing "
+              "cell...", flush=True)
+        metrics["cells"] = bench_cells(args.cells)
     if compile_program is not None:
         print("benchmarking superblock dispatch (fused vs per-pc)...",
               flush=True)

@@ -108,9 +108,9 @@ def fingerprint(*parts: Any) -> str:
 
 
 def source_digest(package_root: Path) -> str:
-    """Digest of every ``.py`` source file under ``package_root``."""
+    """Digest of every ``.py`` and ``.c`` source file under ``package_root``."""
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
+    for path in sorted([*package_root.rglob("*.py"), *package_root.rglob("*.c")]):
         digest.update(str(path.relative_to(package_root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
@@ -120,14 +120,14 @@ def source_digest(package_root: Path) -> str:
 
 @lru_cache(maxsize=1)
 def code_version() -> str:
-    """Digest of every ``.py`` source file under ``src/repro``.
+    """Digest of every ``.py`` and ``.c`` source file under ``src/repro``.
 
     Baked into every cache key so that editing *any* simulator, workload,
     or experiment source invalidates previously stored artifacts — the
     coarse-but-safe invalidation rule DESIGN.md motivates.  That covers
     the superblock code generator too: the generated superinstruction
     bodies are not files on disk, but ``sim/compile.py``, which emits
-    them, is.
+    them, is.  So does the C cycle loop, ``sim/ooo/_cycle.c``.
     """
     return source_digest(Path(__file__).resolve().parents[1])
 

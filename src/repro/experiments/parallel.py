@@ -74,6 +74,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import ArtifactCache, CacheCounters
 from repro.experiments.runner import ExperimentContext, ExperimentProfile, Job
+from repro.sim.ooo.native import cycle_loop
 
 __all__ = [
     "FAULTSIM_ENV",
@@ -627,6 +628,11 @@ def execute(
         pending = [job for job in pending if not _on_disk(job, context)]
     if not pending:
         return 0
+    if any(job.kind == "timed" for job in pending):
+        # Build the C cycle loop here, once, before any worker needs it:
+        # fork workers inherit it and spawn workers find the file built,
+        # where otherwise each worker would compile its own copy.
+        cycle_loop()
     own = ContainedReport() if report is None else report
     executed = _execute_pooled(pending, context, pool, job_timeout, own)
     if report is None and own.failures:

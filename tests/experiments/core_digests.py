@@ -21,6 +21,7 @@ from typing import Dict
 from repro.experiments import EXPERIMENTS
 from repro.experiments.cache import fingerprint
 from repro.experiments.runner import ExperimentContext, ExperimentProfile, Job
+from repro.sim.ooo.core import simulate
 from repro.sim.ooo.stats import PipelineStats
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -56,6 +57,22 @@ def digests(
     """Cell identity -> stats digest, read (or run) through ``context``."""
     return {
         identity: stats_digest(context.cell(job))
+        for identity, job in sorted(timed_jobs(profile, context).items())
+    }
+
+
+def resimulated_digests(
+    profile: ExperimentProfile, context: ExperimentContext
+) -> Dict[str, str]:
+    """Cell identity -> stats digest of a fresh run of each timing cell.
+
+    The traces come from ``context`` (warm after a run), but every cell
+    is simulated again, bypassing its memo, by whichever cycle loop
+    :func:`repro.sim.ooo.native.cycle_loop` selects now.
+    """
+    return {
+        identity: stats_digest(simulate(job.machine, context.trace(
+            job.workload, job.dvi, edvi_binary=job.edvi_binary)))
         for identity, job in sorted(timed_jobs(profile, context).items())
     }
 

@@ -39,6 +39,7 @@ from repro.experiments.parallel import Job, execute
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.__main__ import main
 from repro.sim.config import MachineConfig
+from repro.sim.ooo import native
 
 TINY = ExperimentProfile.tiny()
 
@@ -214,10 +215,27 @@ class TestKeySensitivity:
         compile_py.write_bytes(bytes(source))
         assert source_digest(copy) != code_version()
 
+    def test_cycle_loop_edit_changes_code_version_and_build(self, tmp_path):
+        """The C cycle loop is keyed by its source bytes too: one changed
+        byte of ``sim/ooo/_cycle.c`` changes the digest, and the file
+        name its build is cached under."""
+        package = Path(parallel.__file__).resolve().parents[1]
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        source_c = copy / "sim" / "ooo" / "_cycle.c"
+        assert native.built_path(source_c).name == native.built_path().name
+        source = bytearray(source_c.read_bytes())
+        source[-1] ^= 0x01
+        source_c.write_bytes(bytes(source))
+        assert source_digest(copy) != code_version()
+        assert native.built_path(source_c).name != native.built_path().name
+
 
 class TestSourceDigest:
-    """What the code-version digest covers: every ``.py`` file's path and
-    bytes under the package root, and nothing else."""
+    """What the code-version digest covers: every ``.py`` and ``.c``
+    file's path and bytes under the package root, and nothing else."""
 
     def _package(self, root):
         (root / "sim").mkdir(parents=True)
@@ -243,7 +261,14 @@ class TestSourceDigest:
         (package / "sim" / "compile.py").rename(package / "sim" / "emit.py")
         assert source_digest(package) != before
 
-    def test_non_python_files_are_ignored(self, tmp_path):
+    def test_c_sources_are_covered(self, tmp_path):
+        package = self._package(tmp_path / "pkg")
+        (package / "sim" / "loop.c").write_text("int x;\n")
+        before = source_digest(package)
+        (package / "sim" / "loop.c").write_text("int y;\n")
+        assert source_digest(package) != before
+
+    def test_non_source_files_are_ignored(self, tmp_path):
         package = self._package(tmp_path / "pkg")
         before = source_digest(package)
         (package / "README.txt").write_text("notes")

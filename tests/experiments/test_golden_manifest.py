@@ -10,8 +10,10 @@ simulators, sweep enumeration, table formatting, JSON lowering — against
 silent drift.
 
 The same run also checks the timing-core oracle
-(``tests/data/core_oracle_tiny.json``): every timing cell's
-``PipelineStats`` digest, read from the context the run already warmed.
+(``tests/data/core_oracle_tiny.json``) under both cycle loops: every
+timing cell's ``PipelineStats`` digest as the run computed it (the C
+loop, where it builds), then each cell simulated again on the warm
+traces by the Python loop.
 """
 
 import json
@@ -23,7 +25,7 @@ from repro.__main__ import EXPERIMENTS
 from repro.experiments.export import render_manifest
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 
-from core_digests import digests, load_oracle, mismatches
+from core_digests import digests, load_oracle, mismatches, resimulated_digests
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_tiny_manifest.json"
 
@@ -101,4 +103,9 @@ class TestCoreOracle:
         cached = dict(context.memo)
         actual = digests(context.profile, context)
         assert context.memo == cached
+        assert mismatches(load_oracle("tiny"), actual) == []
+
+    def test_python_loop_matches_the_oracle(self, manifest, context, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        actual = resimulated_digests(context.profile, context)
         assert mismatches(load_oracle("tiny"), actual) == []
